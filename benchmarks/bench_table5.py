@@ -7,9 +7,9 @@ few percent of the paper's lambda = 0.1 (Figure 6's plateau).
 import os
 
 from repro.tables.fmt import render
-from repro.tables.table5 import table5_rows
+from repro.tables.table5 import LAM, table5_rows
 
-_LAM = float(os.environ.get("REPRO_BENCH_LAM", "0.25"))
+_LAM = float(os.environ.get("REPRO_BENCH_LAM", LAM))
 
 
 def test_bench_table5(benchmark, spark, bench_parts, emit):

@@ -7,7 +7,7 @@ doubles as the experiment log for EXPERIMENTS.md.
 
 Env overrides (all optional):
   REPRO_BENCH_PARTS   partition count for tables 4/5 (default 64)
-  REPRO_BENCH_LAM     multi-expansion factor for Distributed NE (default 0.5
+  REPRO_BENCH_LAM     multi-expansion factor for Distributed NE (default 0.25
                       for table 5, 0.1 elsewhere)
 """
 import os

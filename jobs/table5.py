@@ -4,7 +4,7 @@ import argparse
 
 from repro.session import build_session
 from repro.tables.fmt import render
-from repro.tables.table5 import table5_rows
+from repro.tables.table5 import LAM, table5_rows
 
 
 def main() -> None:
@@ -12,7 +12,7 @@ def main() -> None:
     ap.add_argument("--parts", type=int, default=64)
     ap.add_argument("--graphs", nargs="*", default=None)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--lam", type=float, default=0.5)
+    ap.add_argument("--lam", type=float, default=LAM)
     ap.add_argument("--pr-iters", type=int, default=10)
     args = ap.parse_args()
     spark = build_session("table5")

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.incidence import vertices
 from repro.core.metrics import replicas
 
 T_EDGE = 1e-6  # model seconds per active edge
@@ -91,12 +92,7 @@ def app_cost(trace: Trace, assignment: DataFrame, n_parts: int) -> AppCost:
             r["part"]: r["n"]
             for r in repl.groupBy("part").agg(F.count(F.lit(1)).alias("n")).collect()
         }
-        n_vertices = (
-            assignment.select(F.col("src").alias("v"))
-            .unionAll(assignment.select(F.col("dst").alias("v")))
-            .distinct()
-            .count()
-        )
+        n_vertices = vertices(assignment).count()
         total_repl = sum(sync.values())
         com_bytes = k * 2.0 * B_MSG * (total_repl - n_vertices)
         et = k * (

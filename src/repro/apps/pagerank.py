@@ -10,9 +10,8 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.apps.engine import Trace
-from repro.core.incidence import degrees
-
-_NSLOTS = 16
+from repro.core.incidence import degrees, incidence
+from repro.session import shuffle_width
 
 
 def pagerank_trace(
@@ -27,11 +26,7 @@ def pagerank_trace(
     edges = edges.cache()
     deg = degrees(edges).cache()
     n = deg.count()
-    inc = (
-        edges.select(F.col("src").alias("v"), F.col("dst").alias("other"))
-        .unionAll(edges.select(F.col("dst").alias("v"), F.col("src").alias("other")))
-        .cache()
-    )
+    inc = incidence(edges).cache()
     ranks = deg.select("v", (F.lit(1.0) / F.lit(float(n))).alias("rank"))
     for _ in range(n_iters):
         contrib = (
@@ -54,7 +49,7 @@ def pagerank_trace(
                     + F.lit(damping) * F.col("s")
                 ).alias("rank"),
             )
-            .coalesce(_NSLOTS)
+            .coalesce(shuffle_width(spark))
             .localCheckpoint(eager=True)
         )
     trace = Trace(

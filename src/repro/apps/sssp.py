@@ -9,8 +9,8 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.apps.engine import Trace
-
-_NSLOTS = 16
+from repro.core.incidence import incidence
+from repro.session import shuffle_width
 
 
 def sssp_trace(
@@ -22,11 +22,7 @@ def sssp_trace(
 ) -> tuple[DataFrame, Trace]:
     """Returns (distances(v, dist), Trace). Unreached vertices are absent."""
     edges = edges.cache()
-    inc = (
-        edges.select(F.col("src").alias("v"), F.col("dst").alias("other"))
-        .unionAll(edges.select(F.col("dst").alias("v"), F.col("src").alias("other")))
-        .cache()
-    )
+    inc = incidence(edges).cache()
     dist = spark.createDataFrame([(source, 0)], "v long, dist int")
     frontier = dist.select("v")
     active_parts: list[DataFrame] = []
@@ -59,7 +55,7 @@ def sssp_trace(
         update_parts.append(reached.select(F.lit(step).alias("step"), "v"))
         dist = (
             dist.unionAll(reached.select("v", F.lit(step).alias("dist")))
-            .coalesce(_NSLOTS)
+            .coalesce(shuffle_width(spark))
             .localCheckpoint(eager=True)
         )
         frontier = reached.select("v")
@@ -82,4 +78,4 @@ def _union_all(spark: SparkSession, parts: list[DataFrame], schema: str) -> Data
     out = parts[0]
     for p in parts[1:]:
         out = out.unionAll(p)
-    return out.coalesce(_NSLOTS)
+    return out.coalesce(shuffle_width(spark))

@@ -10,8 +10,8 @@ from pyspark.sql import functions as F
 
 from repro.apps.engine import Trace
 from repro.apps.sssp import _union_all
-
-_NSLOTS = 16
+from repro.core.incidence import incidence
+from repro.session import shuffle_width
 
 
 def wcc_trace(
@@ -22,11 +22,7 @@ def wcc_trace(
 ) -> tuple[DataFrame, Trace]:
     """Returns (labels(v, label), Trace). label = min vertex id in component."""
     edges = edges.cache()
-    inc = (
-        edges.select(F.col("src").alias("v"), F.col("dst").alias("other"))
-        .unionAll(edges.select(F.col("dst").alias("v"), F.col("src").alias("other")))
-        .cache()
-    )
+    inc = incidence(edges).cache()
     labels = inc.select("v").distinct().select("v", F.col("v").alias("label"))
     labels = labels.localCheckpoint(eager=True)
     changed = labels.select("v")
@@ -71,7 +67,7 @@ def wcc_trace(
         labels = (
             labels.join(improved.select("v"), "v", "left_anti")
             .unionAll(improved)
-            .coalesce(_NSLOTS)
+            .coalesce(shuffle_width(spark))
             .localCheckpoint(eager=True)
         )
         changed = improved.select("v")

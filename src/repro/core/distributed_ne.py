@@ -8,7 +8,7 @@ state (all checkpointed each round, mirroring the paper's barrier):
   alloc(eid, part)   -- allocated edges; edges are unique, never replicated
   vparts(v, part)    -- vertex replica/allocation table, globally consistent
                         (== the paper's SyncVertexAllocations result)
-  incidence(v, eid, other) -- static 2|E|-row table == the 2D-hash + CSR
+  incidence(v, other, eid) -- static 2|E|-row table == the 2D-hash + CSR
                         initial distribution (§4): Spark hash-distributes it
 
 round t (lock-step with ``repro.core.reference.parallel_ne_reference``,
@@ -39,8 +39,7 @@ from pyspark.sql import functions as F
 
 from repro.core.hashutil import mix_col
 from repro.core.incidence import incidence, with_eid
-
-_NSLOTS = 16  # stable partition count for the iterated state DataFrames
+from repro.session import shuffle_width
 
 
 @dataclass
@@ -75,6 +74,8 @@ def distributed_ne(
     if m == 0:
         raise ValueError("empty edge DataFrame")
     cap = math.ceil(alpha * m / n_parts)
+    # Stable partition count for the iterated state DataFrames.
+    width = shuffle_width(spark)
 
     alloc = spark.createDataFrame([], "eid long, part int")
     vparts = spark.createDataFrame([], "v long, part int")
@@ -153,12 +154,11 @@ def distributed_ne(
             sizes[p] += n
             total += n
 
-        ends = new1.join(edges_e, "eid")
+        ends = incidence(new1.join(edges_e, "eid")).select("v", "part")
         vparts = (
-            vparts.unionAll(ends.select(F.col("src").alias("v"), "part"))
-            .unionAll(ends.select(F.col("dst").alias("v"), "part"))
+            vparts.unionAll(ends)
             .distinct()
-            .coalesce(_NSLOTS)
+            .coalesce(width)
             .localCheckpoint(eager=True)
         )
         alloc = alloc.unionAll(new1)
@@ -196,7 +196,7 @@ def distributed_ne(
         # One lineage cut per round. The coalesce keeps alloc's partition
         # count constant — unions would otherwise grow it every round and
         # inflate task counts of the per-round anti-joins.
-        alloc = alloc.coalesce(_NSLOTS).localCheckpoint(eager=True)
+        alloc = alloc.coalesce(width).localCheckpoint(eager=True)
         unalloc_inc.unpersist(blocking=False)
         sel.unpersist(blocking=False)
         new1.unpersist(blocking=False)
@@ -218,13 +218,9 @@ def distributed_ne(
             )
         )
         candf = (
-            left.join(vparts.withColumnRenamed("v", "src"), "src")
+            incidence(left)
+            .join(vparts, "v")
             .select("eid", "part")
-            .unionAll(
-                left.join(vparts.withColumnRenamed("v", "dst"), "dst").select(
-                    "eid", "part"
-                )
-            )
             .dropDuplicates(["eid", "part"])
             .join(frozen, "part")
             .withColumn("rk", F.row_number().over(w_eid))

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.incidence import incidence, vertices
+
 
 @dataclass(frozen=True)
 class Quality:
@@ -39,11 +41,7 @@ class Quality:
 
 def replicas(assignment: DataFrame) -> DataFrame:
     """Distinct (v, part) pairs — the vertex-replica table."""
-    return (
-        assignment.select(F.col("src").alias("v"), "part")
-        .unionAll(assignment.select(F.col("dst").alias("v"), "part"))
-        .distinct()
-    )
+    return incidence(assignment).select("v", "part").distinct()
 
 
 def edge_counts(assignment: DataFrame) -> DataFrame:
@@ -62,12 +60,7 @@ def partition_quality(assignment: DataFrame) -> Quality:
     """Compute RF/EB/VB plus size facts for an edge-partition assignment."""
     assignment = assignment.cache()
     n_edges = assignment.count()
-    n_vertices = (
-        assignment.select(F.col("src").alias("v"))
-        .unionAll(assignment.select(F.col("dst").alias("v")))
-        .distinct()
-        .count()
-    )
+    n_vertices = vertices(assignment).count()
     ec = edge_counts(assignment).collect()
     vc = vertex_counts(assignment).collect()
     assignment.unpersist()

@@ -2,8 +2,9 @@
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql.types import LongType, StructField, StructType
+
+from repro.core.incidence import vertices
 
 EDGE_SCHEMA = StructType(
     [StructField("src", LongType(), False), StructField("dst", LongType(), False)]
@@ -41,11 +42,4 @@ def edges_to_pandas(edges: DataFrame) -> pd.DataFrame:
 
 def graph_counts(edges: DataFrame) -> tuple[int, int]:
     """(|V|, |E|) of an edge DataFrame; |V| counts vertices touched by edges."""
-    m = edges.count()
-    n = (
-        edges.select(F.col("src").alias("v"))
-        .unionAll(edges.select(F.col("dst").alias("v")))
-        .distinct()
-        .count()
-    )
-    return n, m
+    return vertices(edges).count(), edges.count()

@@ -9,7 +9,7 @@ natural dataflow formulation.
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
-from repro.core.incidence import degrees
+from repro.core.incidence import degrees, incidence
 from repro.partitioners.hashing import hybrid_hash
 
 
@@ -47,12 +47,7 @@ def hybrid_ginger(
         asg = asg.cache()
         loads = asg.groupBy("part").agg(F.count(F.lit(1)).alias("load"))
         avg_load = max(1.0, asg.count() / n_parts)
-        aff = (
-            asg.select(F.col("src").alias("v"), "part")
-            .unionAll(asg.select(F.col("dst").alias("v"), "part"))
-            .groupBy("v", "part")
-            .agg(F.count(F.lit(1)).alias("aff"))
-        )
+        aff = incidence(asg).groupBy("v", "part").agg(F.count(F.lit(1)).alias("aff"))
         best = (
             aff.join(F.broadcast(loads), "part")
             .withColumn(

@@ -11,30 +11,19 @@ from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
 from repro.core.hashutil import mix_col
-from repro.core.incidence import degrees
+from repro.core.incidence import degrees, incidence, vertices
 from repro.partitioners.convert import vertex_to_edge
-
-_NSLOTS = 16
-
-
-def _vertices(edges: DataFrame) -> DataFrame:
-    return (
-        edges.select(F.col("src").alias("v"))
-        .unionAll(edges.select(F.col("dst").alias("v")))
-        .distinct()
-    )
+from repro.session import shuffle_width
 
 
 def _neighbor_label_counts(edges: DataFrame, labels: DataFrame) -> DataFrame:
     """(v, label, cnt): how many of v's neighbors carry each label."""
-    lsrc = labels.withColumnRenamed("v", "src")
-    ldst = labels.withColumnRenamed("v", "dst")
-    msgs = (
-        edges.join(lsrc, "src")
-        .select(F.col("dst").alias("v"), "label")
-        .unionAll(edges.join(ldst, "dst").select(F.col("src").alias("v"), "label"))
+    return (
+        incidence(edges)
+        .join(labels.withColumnRenamed("v", "other"), "other")
+        .groupBy("v", "label")
+        .agg(F.count(F.lit(1)).alias("cnt"))
     )
-    return msgs.groupBy("v", "label").agg(F.count(F.lit(1)).alias("cnt"))
 
 
 def _lp_round(
@@ -78,13 +67,13 @@ def spinner_labels(
     edges = edges.cache()
     deg = degrees(edges).cache()
     avg_load = max(1.0, 2.0 * edges.count() / n_parts)
-    labels = _vertices(edges).select(
+    labels = vertices(edges).select(
         "v", F.pmod(F.xxhash64("v", F.lit(seed)), F.lit(n_parts)).cast("int").alias("label")
     )
     for _ in range(n_iters):
         labels = (
             _lp_round(edges, labels, deg, n_parts, mu, avg_load)
-            .coalesce(_NSLOTS)
+            .coalesce(shuffle_width(spark))
             .localCheckpoint(eager=True)
         )
     deg.unpersist(blocking=False)
@@ -119,7 +108,7 @@ def xtrapulp_labels(
 ) -> DataFrame:
     """XtraPuLP-style labels: seeded outward LP, then balance refinement."""
     edges = edges.cache()
-    verts = _vertices(edges).cache()
+    verts = vertices(edges).cache()
     deg = degrees(edges).cache()
     n_v = verts.count()
     avg_load = max(1.0, 2.0 * edges.count() / n_parts)
@@ -146,7 +135,9 @@ def xtrapulp_labels(
             .select("v", "label")
         )
         labels = (
-            labels.unionAll(adopt).coalesce(_NSLOTS).localCheckpoint(eager=True)
+            labels.unionAll(adopt)
+            .coalesce(shuffle_width(spark))
+            .localCheckpoint(eager=True)
         )
         if labels.count() == n_labelled:
             break  # disconnected remainder
@@ -159,7 +150,7 @@ def xtrapulp_labels(
     for _ in range(refine_iters):
         labels = (
             _lp_round(edges, labels, deg, n_parts, mu, avg_load)
-            .coalesce(_NSLOTS)
+            .coalesce(shuffle_width(spark))
             .localCheckpoint(eager=True)
         )
     deg.unpersist(blocking=False)

@@ -1,20 +1,36 @@
-"""SparkSession builder for the spark-submit job entrypoints.
+"""The one SparkSession builder, used by the test fixture and the jobs.
 
-Tests use the ``spark`` fixture from conftest.py; the ``jobs/`` scripts
-use this builder so they run standalone under ``spark-submit`` or plain
-``python`` with the same settings (shuffle width, Arrow, no broadcast
-auto-threshold — matching the test session).
+``build_session`` launches a local-mode driver (``SPARK_MASTER``,
+default ``local[*]``) with Arrow on and broadcast joins off, so joins
+exercise the shuffle path. The shuffle width is the context's default
+parallelism (the number of task threads): at this repo's graph sizes a
+wider shuffle only adds per-task overhead. Iterated state frames
+coalesce to the same width through ``shuffle_width``.
 """
 import os
 
 from pyspark.sql import SparkSession
 
 
+def driver_memory() -> str:
+    """``SPARK_DRIVER_MEM``, else half of physical memory clamped to 2-8 g."""
+    if m := os.environ.get("SPARK_DRIVER_MEM"):
+        return m
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(ln.split()[1]) for ln in f if ln.startswith("MemTotal:"))
+    except (OSError, StopIteration, ValueError):
+        return "2g"
+    return f"{min(8, max(2, kib // (2 << 20)))}g"
+
+
 def build_session(app_name: str = "repro-job") -> SparkSession:
+    # The launcher reads PYSPARK_SUBMIT_ARGS when the JVM starts (at
+    # getOrCreate), so master and driver memory are set here, not at import.
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '8g')} "
+        f"--driver-memory {driver_memory()} "
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false "
         "--conf spark.ui.showConsoleProgress=false "
@@ -22,13 +38,16 @@ def build_session(app_name: str = "repro-job") -> SparkSession:
     )
     s = (
         SparkSession.builder.appName(app_name)
-        .config(
-            "spark.sql.shuffle.partitions",
-            os.environ.get("SPARK_SHUFFLE_PARTITIONS", "16"),
-        )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()
     )
+    s.conf.set("spark.sql.shuffle.partitions", s.sparkContext.defaultParallelism)
     s.sparkContext.setLogLevel("ERROR")
     return s
+
+
+def shuffle_width(spark: SparkSession) -> int:
+    """The session's shuffle partition count; iterated state frames
+    coalesce to it so unions do not grow their partition count."""
+    return int(spark.conf.get("spark.sql.shuffle.partitions"))

@@ -20,6 +20,9 @@ from repro.graphgen.datasets import TABLE5_GRAPHS, load_dataset
 from repro.partitioners import PARTITIONERS
 
 N_PARTS = 64
+# Multi-expansion factor for Distributed NE: Fig. 6's plateau, within a few
+# percent of the paper's 0.1 in quality at ~2x fewer Spark rounds.
+LAM = 0.25
 METHODS = ["random", "grid", "oblivious", "hybrid_ginger", "distributed_ne"]
 
 # --- the paper's printed numbers ---------------------------------------
@@ -79,7 +82,7 @@ def table5_rows(
     graphs: list[str] | None = None,
     methods: list[str] | None = None,
     seed: int = 0,
-    lam: float = 0.5,
+    lam: float = LAM,
     pr_iters: int = 10,
 ) -> tuple[list[dict], list[dict]]:
     """Returns (quality_rows, app_rows)."""

@@ -1,9 +1,18 @@
 """Incidence/eid layer and the Python/Spark hash twins."""
+import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.hashutil import MIX_MOD, mix_col, mix_py
-from repro.core.incidence import EID_BASE, degrees, eid_py, incidence, with_eid
+from repro.core.incidence import (
+    EID_BASE,
+    degrees,
+    eid_py,
+    incidence,
+    vertices,
+    with_eid,
+)
+from repro.graphgen.util import graph_counts
 from repro.oracle import assert_equivalent
 
 
@@ -29,6 +38,28 @@ def test_incidence_symmetric(tiny_rmat):
     fwd = inc.select("v", "other")
     bwd = inc.select(F.col("other").alias("v"), F.col("v").alias("other"))
     assert fwd.exceptAll(bwd).count() == 0
+
+
+def test_incidence_carries_other_columns(spark):
+    asg = with_eid(
+        spark.createDataFrame([(1, 2, 0), (3, 5, 1)], "src long, dst long, part int")
+    )
+    inc = incidence(asg)
+    assert inc.columns == ["v", "other", "part", "eid"]
+    got = sorted(tuple(r) for r in inc.collect())
+    assert got == sorted(
+        (v, o, p, eid_py(s, d))
+        for s, d, p in [(1, 2, 0), (3, 5, 1)]
+        for v, o in [(s, d), (d, s)]
+    )
+
+
+@pytest.mark.parametrize("graph", ["small_road", "tiny_rmat"])
+def test_vertices_counts_endpoints(request, graph):
+    edges = request.getfixturevalue(graph)
+    n, _ = graph_counts(edges)
+    pdf = edges.toPandas()
+    assert vertices(edges).count() == n == len(np.unique(pdf[["src", "dst"]].to_numpy()))
 
 
 def test_degrees_oracle(spark, small_rmat):

@@ -1,52 +1,25 @@
-"""Provided OLAP infrastructure: generators are deterministic and the
-DuckDB oracle catches both agreement and disagreement."""
+"""The DuckDB oracle catches both agreement and disagreement, on a graph
+query (per-``src`` out-degree of the ``tiny_rmat`` fixture)."""
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
 from repro.oracle import assert_equivalent
 
-
-@pytest.fixture(scope="module")
-def li(spark):
-    return synth_data.lineitem(spark, sf=0.002, seed=0).cache()
+_SQL = "SELECT src, count(*) AS n FROM edges GROUP BY src"
 
 
-def test_lineitem_deterministic(spark, li):
-    again = synth_data.lineitem(spark, sf=0.002, seed=0)
-    assert li.exceptAll(again).count() == 0
+def test_oracle_agreement(tiny_rmat):
+    spark_df = tiny_rmat.groupBy("src").agg(F.count(F.lit(1)).alias("n"))
+    assert_equivalent(spark_df, _SQL, edges=tiny_rmat)
 
 
-def test_oracle_agreement(spark, li):
-    spark_df = li.groupBy("l_returnflag").agg(
-        F.count(F.lit(1)).alias("n"), F.round(F.sum("l_quantity"), 4).alias("qty")
-    )
-    sql = """
-        SELECT l_returnflag, count(*) AS n, round(sum(l_quantity), 4) AS qty
-        FROM li GROUP BY l_returnflag
-    """
-    assert_equivalent(spark_df, sql, li=li)
-
-
-def test_oracle_catches_wrong_result(spark, li):
-    wrong = li.groupBy("l_returnflag").agg(
-        (F.count(F.lit(1)) + 1).alias("n")
-    )
+def test_oracle_catches_wrong_result(tiny_rmat):
+    wrong = tiny_rmat.groupBy("src").agg((F.count(F.lit(1)) + 1).alias("n"))
     with pytest.raises(AssertionError):
-        assert_equivalent(
-            wrong, "SELECT l_returnflag, count(*) AS n FROM li GROUP BY l_returnflag", li=li
-        )
+        assert_equivalent(wrong, _SQL, edges=tiny_rmat)
 
 
-def test_oracle_catches_column_mismatch(spark, li):
-    df = li.groupBy("l_returnflag").agg(F.count(F.lit(1)).alias("wrong_name"))
+def test_oracle_catches_column_mismatch(tiny_rmat):
+    df = tiny_rmat.groupBy("src").agg(F.count(F.lit(1)).alias("wrong_name"))
     with pytest.raises(AssertionError):
-        assert_equivalent(
-            df, "SELECT l_returnflag, count(*) AS n FROM li GROUP BY l_returnflag", li=li
-        )
-
-
-def test_zipf_keys_are_skewed(spark):
-    df = synth_data.zipf_keys(spark, n=20_000, n_keys=1000, alpha=1.2, seed=1)
-    top = df.groupBy("k").count().orderBy(F.desc("count")).first()["count"]
-    assert top > 20_000 / 1000 * 10  # top key far above uniform share
+        assert_equivalent(df, _SQL, edges=tiny_rmat)
