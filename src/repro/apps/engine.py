@@ -38,8 +38,12 @@ B_MSG = 16.0  # bytes per vertex-state sync message
 class Trace:
     """What an application did, independent of any partitioning.
 
-    ``active``  — (step, src, dst): edges processed in each superstep.
-    ``updates`` — (step, v): vertices whose state changed in the step.
+    ``updates`` — (step, v): vertices whose state changed in the step;
+    step 0 is the initial state.
+    ``active``  — (step, src, dst): edges processed in each superstep,
+    for steps 1..``n_steps``. ``repro.apps.frontier.propagate`` derives
+    it after its loop: step s's active edges are those with an endpoint
+    in step s-1's ``updates``.
     ``uniform_steps`` — if > 0, the app instead touched *every* edge and
     *every* vertex in each of this many supersteps (PageRank); ``active``
     and ``updates`` are then None and costs are computed analytically.

@@ -20,7 +20,8 @@ which tests compare bit-for-bit):
      deterministic pseudo-random unallocated vertex (Alg. 1 line 7).
   3. One-hop allocation: candidate (eid, part) pairs; conflicts (the
      paper's CAS) resolved to min (|E_p|, p); per-part capacity
-     cap = ceil(alpha |E| / |P|) enforced by ranked truncation.
+     cap = ceil(alpha |E| / |P|) enforced by ranked truncation. Steps 3
+     and 5 and the fallback share this claim rule (``_claim``).
   4. Replica sync: winning edges' endpoints merged into vparts.
   5. Two-hop allocation: any still-unallocated edge whose endpoints share
      a non-full part goes to the smallest such part (Condition (5) —
@@ -86,8 +87,6 @@ def distributed_ne(
 
     w_sel = Window.partitionBy("part").orderBy("drest", "v")
     w_bsz = Window.partitionBy("part")
-    w_eid = Window.partitionBy("eid").orderBy("cur", "part")
-    w_cap = Window.partitionBy("part").orderBy("eid")
 
     for t in range(max_iters):
         if total == m:
@@ -130,25 +129,12 @@ def distributed_ne(
                 )
 
         # --- one-hop allocation ---
-        sizes_df = F.broadcast(
-            spark.createDataFrame(
-                [(p, sizes[p]) for p in range(n_parts)], "part int, cur long"
-            )
-        )
         cand1 = (
             sel_all.join(unalloc_inc, "v")
             .select("eid", "part")
             .dropDuplicates(["eid", "part"])
         )
-        new1 = (
-            cand1.join(sizes_df, "part")
-            .withColumn("rk", F.row_number().over(w_eid))
-            .filter(F.col("rk") == 1)
-            .withColumn("crk", F.row_number().over(w_cap))
-            .filter(F.col("crk") <= F.lit(cap) - F.col("cur"))
-            .select("eid", "part")
-            .cache()
-        )
+        new1 = _claim(spark, cand1, sizes, cap).cache()
         n1 = {r["part"]: r["n"] for r in new1.groupBy("part").agg(F.count(F.lit(1)).alias("n")).collect()}
         for p, n in n1.items():
             sizes[p] += n
@@ -164,12 +150,9 @@ def distributed_ne(
         alloc = alloc.unionAll(new1)
 
         # --- two-hop allocation ---
-        sizes1 = [(p, sizes[p]) for p in range(n_parts) if sizes[p] < cap]
+        two_hop = any(s < cap for s in sizes)
         n2_total = 0
-        if sizes1:
-            sizes1_df = F.broadcast(
-                spark.createDataFrame(sizes1, "part int, cur long")
-            )
+        if two_hop:
             une = edges_e.join(alloc, "eid", "left_anti")
             c2 = (
                 une.join(vparts.withColumnRenamed("v", "src"), "src")
@@ -177,15 +160,7 @@ def distributed_ne(
                 .select("eid", "part")
                 .dropDuplicates(["eid", "part"])
             )
-            new2 = (
-                c2.join(sizes1_df, "part")
-                .withColumn("rk", F.row_number().over(w_eid))
-                .filter(F.col("rk") == 1)
-                .withColumn("crk", F.row_number().over(w_cap))
-                .filter(F.col("crk") <= F.lit(cap) - F.col("cur"))
-                .select("eid", "part")
-                .cache()
-            )
+            new2 = _claim(spark, c2, sizes, cap).cache()
             n2 = {r["part"]: r["n"] for r in new2.groupBy("part").agg(F.count(F.lit(1)).alias("n")).collect()}
             for p, n in n2.items():
                 sizes[p] += n
@@ -200,7 +175,7 @@ def distributed_ne(
         unalloc_inc.unpersist(blocking=False)
         sel.unpersist(blocking=False)
         new1.unpersist(blocking=False)
-        if sizes1:
+        if two_hop:
             new2.unpersist(blocking=False)
         progress = sum(n1.values()) + n2_total
         stall = 0 if progress else stall + 1
@@ -212,21 +187,14 @@ def distributed_ne(
     n_left = left.count()
     stats.fallback_edges = n_left
     if n_left:
-        frozen = F.broadcast(
-            spark.createDataFrame(
-                [(p, sizes[p]) for p in range(n_parts)], "part int, cur long"
-            )
-        )
         candf = (
             incidence(left)
             .join(vparts, "v")
             .select("eid", "part")
             .dropDuplicates(["eid", "part"])
-            .join(frozen, "part")
-            .withColumn("rk", F.row_number().over(w_eid))
-            .filter(F.col("rk") == 1)
-            .select("eid", "part")
         )
+        # cap = m cuts nothing: a part's leftovers <= n_left <= m - its size.
+        candf = _claim(spark, candf, sizes, m)
         rest = left.join(candf, "eid", "left_anti").select(
             "eid",
             F.pmod(mix_col(F.col("eid"), seed), F.lit(n_parts))
@@ -244,3 +212,29 @@ def distributed_ne(
     if return_stats:
         return assignment, stats
     return assignment
+
+
+def _claim(
+    spark: SparkSession, cands: DataFrame, sizes: list[int], cap: int
+) -> DataFrame:
+    """Resolve candidate (eid, part) claims, lazily (the paper's CAS).
+
+    Only parts with size < ``cap`` compete. Each eid goes to its candidate
+    of minimal (size, part); each part then keeps its lowest eids, up to
+    ``cap - size``.
+    """
+    under = F.broadcast(
+        spark.createDataFrame(
+            [(p, s) for p, s in enumerate(sizes) if s < cap], "part int, cur long"
+        )
+    )
+    return (
+        cands.join(under, "part")
+        .withColumn(
+            "rk", F.row_number().over(Window.partitionBy("eid").orderBy("cur", "part"))
+        )
+        .filter(F.col("rk") == 1)
+        .withColumn("crk", F.row_number().over(Window.partitionBy("part").orderBy("eid")))
+        .filter(F.col("crk") <= F.lit(cap) - F.col("cur"))
+        .select("eid", "part")
+    )

@@ -13,6 +13,7 @@ paper Distributed NE wins ET in all 21 (graph, app) cells and cuts COM
 2-8x vs Random.
 """
 from pyspark.sql import SparkSession
+from pyspark.sql import functions as F
 
 from repro.apps import app_cost, pagerank_trace, sssp_trace, wcc_trace
 from repro.core.metrics import partition_quality
@@ -127,8 +128,6 @@ def table5_rows(
 
 def _best_source(spark, edges) -> int:
     """Paper uses Vertex 0; fall back to the smallest vertex id present."""
-    from pyspark.sql import functions as F
-
     has_zero = (
         edges.filter((F.col("src") == 0) | (F.col("dst") == 0)).limit(1).count() > 0
     )

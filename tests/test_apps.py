@@ -139,6 +139,73 @@ def test_wcc_component_sizes_oracle(spark, wcc_result):
     )
 
 
+# ---------- trace contents (SSSP and WCC) ----------
+def _frontier_simulation(pairs, labels, delta, max_steps):
+    """Pure-Python frontier-synchronous propagation: the step's active
+    edges are those touching the frontier (the previous step's updates);
+    a neighbour takes the smallest label + delta that beats its own."""
+    adj = defaultdict(set)
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    labels = dict(labels)
+    frontier = dict(labels)
+    updates = {(0, v) for v in labels}
+    active = set()
+    step = 0
+    while step < max_steps:
+        step += 1
+        active |= {(step, a, b) for a, b in pairs if a in frontier or b in frontier}
+        offers = {}
+        for u, lab in frontier.items():
+            for w in adj[u]:
+                offers[w] = min(offers.get(w, lab + delta), lab + delta)
+        frontier = {
+            w: lab for w, lab in offers.items() if w not in labels or lab < labels[w]
+        }
+        if not frontier:
+            break
+        updates |= {(step, w) for w in frontier}
+        labels.update(frontier)
+    return labels, updates, active, step
+
+
+def _rows(df, cols):
+    rows = [tuple(r[c] for c in cols) for r in df.collect()]
+    assert len(rows) == len(set(rows)), "duplicate trace rows"
+    return set(rows)
+
+
+@pytest.mark.parametrize("app", ["sssp", "wcc"])
+@pytest.mark.parametrize(
+    "graph,max_steps",
+    [("tiny_rmat", 10_000), ("tiny_rmat", 2), ("disconnected", 10_000)],
+)
+def test_trace_contents_match_frontier_simulation(
+    spark, tiny_rmat, app, graph, max_steps
+):
+    """Per-step ``updates`` and ``active`` rows, not just their counts."""
+    if graph == "tiny_rmat":
+        edges = tiny_rmat
+    else:
+        edges = spark.createDataFrame([(0, 1), (1, 2), (10, 11)], "src long, dst long")
+    pairs = [(r["src"], r["dst"]) for r in edges.collect()]
+    if app == "sssp":
+        out, trace = sssp_trace(spark, edges, source=0, max_steps=max_steps)
+        start, delta, col = {0: 0}, 1, "dist"
+    else:
+        out, trace = wcc_trace(spark, edges, max_steps=max_steps)
+        start, delta, col = {v: v for e in pairs for v in e}, 0, "label"
+    labels, updates, active, n_steps = _frontier_simulation(
+        pairs, start, delta, max_steps
+    )
+    assert trace.n_steps == n_steps
+    assert {r["v"]: r[col] for r in out.collect()} == labels
+    assert _rows(trace.updates, ["step", "v"]) == updates
+    assert _rows(trace.active, ["step", "src", "dst"]) == active
+    assert max(s for s, _, _ in active) <= trace.n_steps
+
+
 # ---------- PageRank ----------
 @pytest.fixture(scope="module")
 def pr_result(spark, app_graph):

@@ -26,23 +26,33 @@ def _spark_map(asg):
 
 # ---------- bit-for-bit equality with the reference ----------
 @pytest.mark.parametrize(
-    "scale,ef,n_parts,lam,seed",
+    "scale,ef,n_parts,lam,seed,max_iters",
     [
-        (6, 4, 4, 1.0, 0),
-        (7, 4, 4, 0.5, 7),
-        (7, 6, 8, 0.25, 3),
+        pytest.param(6, 4, 4, 1.0, 0, None, id="6-4-4-1.0-0"),
+        pytest.param(7, 4, 4, 0.5, 7, None, id="7-4-4-0.5-7"),
+        pytest.param(7, 6, 8, 0.25, 3, None, id="7-6-8-0.25-3"),
+        # Two rounds leave 11 edges to the fallback: 10 join a part that
+        # holds an endpoint, 1 is hashed.
+        pytest.param(6, 4, 4, 1.0, 0, 2, id="6-4-4-1.0-0-max_iters2"),
     ],
 )
-def test_matches_python_reference(spark, scale, ef, n_parts, lam, seed):
+def test_matches_python_reference(spark, scale, ef, n_parts, lam, seed, max_iters):
     pairs = rmat_edges_np(scale, ef, seed=seed + 100)
     edges = edges_to_spark(spark, pairs)
-    got = _spark_map(
-        distributed_ne(spark, edges, n_parts, lam=lam, seed=seed)
+    kw = {} if max_iters is None else {"max_iters": max_iters}
+    asg, st = distributed_ne(
+        spark, edges, n_parts, lam=lam, seed=seed, return_stats=True, **kw
     )
-    want, _ = parallel_ne_reference(
-        [tuple(r) for r in pairs], n_parts, lam=lam, seed=seed
+    want, ref_st = parallel_ne_reference(
+        [tuple(r) for r in pairs], n_parts, lam=lam, seed=seed, **kw
     )
-    assert got == want
+    assert _spark_map(asg) == want
+    assert (st.iterations, st.fallback_edges) == (
+        ref_st["iterations"],
+        ref_st["fallback_edges"],
+    )
+    if max_iters is not None:
+        assert st.fallback_edges > 0
 
 
 def test_reference_stats_match_spark_stats(spark):
