@@ -21,7 +21,8 @@ which tests compare bit-for-bit):
   3. One-hop allocation: candidate (eid, part) pairs; conflicts (the
      paper's CAS) resolved to min (|E_p|, p); per-part capacity
      cap = ceil(alpha |E| / |P|) enforced by ranked truncation. Steps 3
-     and 5 and the fallback share this claim rule (``_claim``).
+     and 5 share this claim rule (``_claim``); the fallback keeps only
+     its conflict winner (``_winners``).
   4. Replica sync: winning edges' endpoints merged into vparts.
   5. Two-hop allocation: any still-unallocated edge whose endpoints share
      a non-full part goes to the smallest such part (Condition (5) —
@@ -193,8 +194,8 @@ def distributed_ne(
             .select("eid", "part")
             .dropDuplicates(["eid", "part"])
         )
-        # cap = m cuts nothing: a part's leftovers <= n_left <= m - its size.
-        candf = _claim(spark, candf, sizes, m)
+        # No capacity window: a part's leftovers <= n_left <= m - its size.
+        candf = _winners(spark, candf, sizes, m).select("eid", "part")
         rest = left.join(candf, "eid", "left_anti").select(
             "eid",
             F.pmod(mix_col(F.col("eid"), seed), F.lit(n_parts))
@@ -214,15 +215,11 @@ def distributed_ne(
     return assignment
 
 
-def _claim(
+def _winners(
     spark: SparkSession, cands: DataFrame, sizes: list[int], cap: int
 ) -> DataFrame:
-    """Resolve candidate (eid, part) claims, lazily (the paper's CAS).
-
-    Only parts with size < ``cap`` compete. Each eid goes to its candidate
-    of minimal (size, part); each part then keeps its lowest eids, up to
-    ``cap - size``.
-    """
+    """Each eid's candidate (eid, part, cur) of minimal (size, part) among
+    parts with size < ``cap`` (the paper's CAS), lazily."""
     under = F.broadcast(
         spark.createDataFrame(
             [(p, s) for p, s in enumerate(sizes) if s < cap], "part int, cur long"
@@ -234,6 +231,16 @@ def _claim(
             "rk", F.row_number().over(Window.partitionBy("eid").orderBy("cur", "part"))
         )
         .filter(F.col("rk") == 1)
+    )
+
+
+def _claim(
+    spark: SparkSession, cands: DataFrame, sizes: list[int], cap: int
+) -> DataFrame:
+    """Resolve candidate (eid, part) claims, lazily: ``_winners``, then
+    each part keeps its lowest eids, up to ``cap - size``."""
+    return (
+        _winners(spark, cands, sizes, cap)
         .withColumn("crk", F.row_number().over(Window.partitionBy("part").orderBy("eid")))
         .filter(F.col("crk") <= F.lit(cap) - F.col("cur"))
         .select("eid", "part")

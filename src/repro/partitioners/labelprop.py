@@ -123,8 +123,8 @@ def xtrapulp_labels(
     )
     # Phase 1: spread labels outward; labelled vertices are frozen.
     w = Window.partitionBy("v").orderBy(F.desc("cnt"), "label")
+    n_labelled = len(seeds)
     for _ in range(max_bfs_iters):
-        n_labelled = labels.count()
         if n_labelled >= n_v:
             break
         adopt = (
@@ -139,7 +139,8 @@ def xtrapulp_labels(
             .coalesce(shuffle_width(spark))
             .localCheckpoint(eager=True)
         )
-        if labels.count() == n_labelled:
+        n_before, n_labelled = n_labelled, labels.count()
+        if n_labelled == n_before:
             break  # disconnected remainder
     # Unreached (disconnected) vertices: deterministic hash labels.
     rest = verts.join(labels.select("v"), "v", "left_anti").select(

@@ -1,8 +1,11 @@
-"""The one SparkSession builder, used by the test fixture and the jobs.
+"""The one SparkSession builder, used by the test fixture, the table
+runner and the jobs.
 
 ``build_session`` launches a local-mode driver (``SPARK_MASTER``,
 default ``local[*]``) with Arrow on and broadcast joins off, so joins
-exercise the shuffle path. The shuffle width is the context's default
+exercise the shuffle path. Adaptive query execution is off, as in the
+runtime ``perfbench`` pins, so a plan's jobs and tasks do not depend on
+runtime statistics. The shuffle width is the context's default
 parallelism (the number of task threads): at this repo's graph sizes a
 wider shuffle only adds per-task overhead. Iterated state frames
 coalesce to the same width through ``shuffle_width``.
@@ -40,6 +43,7 @@ def build_session(app_name: str = "repro-job") -> SparkSession:
         SparkSession.builder.appName(app_name)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.sql.adaptive.enabled", "false")
         .getOrCreate()
     )
     s.conf.set("spark.sql.shuffle.partitions", s.sparkContext.defaultParallelism)

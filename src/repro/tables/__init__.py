@@ -2,6 +2,6 @@
 
 Each ``tableN`` module exposes ``tableN_rows(...) -> list[dict]`` plus
 the paper's printed numbers (``PAPER``) so EXPERIMENTS.md can diff
-paper vs measured. ``jobs/tableN.py`` are the spark-submit wrappers;
-``benchmarks/bench_tableN.py`` time them.
+paper vs measured. ``python -m repro.tables N [N ...]`` runs them at the
+paper configuration and writes ``results/tableN.txt``.
 """

@@ -1,4 +1,4 @@
-"""Plain-text / markdown rendering of table rows (lists of dicts)."""
+"""Plain-text rendering of table rows (lists of dicts)."""
 
 
 def render(rows: list[dict], *, title: str = "") -> str:
@@ -18,20 +18,6 @@ def render(rows: list[dict], *, title: str = "") -> str:
     for row in cells:
         lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
     return "\n".join(lines) + "\n"
-
-
-def render_markdown(rows: list[dict], *, title: str = "") -> str:
-    if not rows:
-        return f"### {title}\n(empty)\n"
-    cols = list(rows[0].keys())
-    out = []
-    if title:
-        out.append(f"### {title}\n")
-    out.append("| " + " | ".join(cols) + " |")
-    out.append("|" + "|".join("---" for _ in cols) + "|")
-    for r in rows:
-        out.append("| " + " | ".join(_s(r.get(c, "")) for c in cols) + " |")
-    return "\n".join(out) + "\n"
 
 
 def _s(v) -> str:

@@ -19,6 +19,7 @@ from repro.partitioners.greedy_streaming import hdrf
 from repro.partitioners.ne_sequential import ne_sequential, sne
 
 N_PARTS = 64
+LAM = 0.1
 
 #: RF (top) and seconds (bottom) as printed in the paper
 PAPER_RF = {
@@ -50,7 +51,7 @@ def table4_rows(
     n_parts: int = N_PARTS,
     graphs: list[str] | None = None,
     seed: int = 0,
-    lam: float = 0.1,
+    lam: float = LAM,
 ) -> list[dict]:
     graphs = graphs or TABLE4_GRAPHS
     rows = []

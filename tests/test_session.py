@@ -1,4 +1,4 @@
-"""The one session builder: shuffle width and driver-memory rule."""
+"""The one session builder: shuffle width, AQE and driver-memory rule."""
 from repro.session import driver_memory, shuffle_width
 
 
@@ -6,6 +6,11 @@ def test_shuffle_width_is_default_parallelism(spark):
     width = spark.sparkContext.defaultParallelism
     assert int(spark.conf.get("spark.sql.shuffle.partitions")) == width
     assert shuffle_width(spark) == width
+
+
+def test_adaptive_execution_off(spark):
+    # Same as perfbench's pinned runtime: tier-1 and the benchmark plan alike.
+    assert spark.conf.get("spark.sql.adaptive.enabled") == "false"
 
 
 def test_driver_memory_rule(monkeypatch):

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from repro.tables import fmt, table1, table2
+from repro.tables.__main__ import RESULTS, render_table
 from repro.tables.table4 import table4_rows
 from repro.tables.table5 import METHODS, table5_rows
 from repro.tables.table6 import ORDER, table6_rows
@@ -22,18 +23,17 @@ def test_render_empty():
     assert "(empty)" in fmt.render([], title="x")
 
 
-def test_render_markdown():
-    out = fmt.render_markdown([{"a": 1}], title="M")
-    assert out.splitlines()[0] == "### M"
-    assert "| a |" in out
-
-
 # ---------- table 1 ----------
 def test_table1_complete():
     rows = table1.table1_rows()
     assert len(rows) == 4
     for r in rows:
         assert len(r) == 1 + 2 * len(table1.ALPHAS)
+
+
+def test_table1_artifact_is_current():
+    committed = (RESULTS / "table1.txt").read_text(encoding="utf-8")
+    assert render_table(1, table1.table1_rows()) == committed
 
 
 # ---------- table 2 ----------
@@ -48,6 +48,8 @@ def test_table2_rows(spark):
             assert r["E/V"] < 2.0
         if r["dataset"] == "orkut_lite":
             assert r["E/V"] > 8
+    # the committed artifact is what the runner renders from these rows
+    assert render_table(2, rows) == (RESULTS / "table2.txt").read_text(encoding="utf-8")
 
 
 # ---------- table 4 (mini config) ----------
