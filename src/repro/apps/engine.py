@@ -65,14 +65,6 @@ class AppCost:
     wb: float  # workload balance  max_p(work) / mean_p(work)
     supersteps: int
 
-    def as_row(self) -> dict:
-        return {
-            "et": round(self.et, 4),
-            "com_gb": round(self.com_gb, 6),
-            "wb": round(self.wb, 4),
-            "steps": self.supersteps,
-        }
-
 
 def _balance(per_part: list[int], n_parts: int) -> float:
     if not per_part or sum(per_part) == 0:

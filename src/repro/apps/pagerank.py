@@ -13,13 +13,14 @@ from repro.apps.engine import Trace
 from repro.core.incidence import degrees, incidence
 from repro.session import shuffle_width
 
+DAMPING = 0.85
+
 
 def pagerank_trace(
     spark: SparkSession,
     edges: DataFrame,
     *,
     n_iters: int = 10,
-    damping: float = 0.85,
 ) -> tuple[DataFrame, Trace]:
     """Returns (ranks(v, rank), Trace). Ranks sum to ~1 (no dangling
     vertices exist in an edge-induced vertex set of an undirected graph)."""
@@ -45,8 +46,8 @@ def pagerank_trace(
             .select(
                 "v",
                 (
-                    F.lit((1.0 - damping) / float(n))
-                    + F.lit(damping) * F.col("s")
+                    F.lit((1.0 - DAMPING) / float(n))
+                    + F.lit(DAMPING) * F.col("s")
                 ).alias("rank"),
             )
             .coalesce(shuffle_width(spark))

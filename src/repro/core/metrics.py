@@ -28,16 +28,6 @@ class Quality:
     n_edges: int
     n_parts_used: int
 
-    def as_row(self) -> dict:
-        return {
-            "rf": round(self.rf, 4),
-            "eb": round(self.eb, 4),
-            "vb": round(self.vb, 4),
-            "V": self.n_vertices,
-            "E": self.n_edges,
-            "parts": self.n_parts_used,
-        }
-
 
 def replicas(assignment: DataFrame) -> DataFrame:
     """Distinct (v, part) pairs — the vertex-replica table."""
@@ -57,9 +47,9 @@ def vertex_counts(assignment: DataFrame) -> DataFrame:
 
 
 def partition_quality(assignment: DataFrame) -> Quality:
-    """Compute RF/EB/VB plus size facts for an edge-partition assignment."""
+    """Compute RF/EB/VB plus size facts for an edge-partition assignment;
+    |E| is the sum of the per-part edge counts."""
     assignment = assignment.cache()
-    n_edges = assignment.count()
     n_vertices = vertices(assignment).count()
     ec = edge_counts(assignment).collect()
     vc = vertex_counts(assignment).collect()
@@ -68,10 +58,10 @@ def partition_quality(assignment: DataFrame) -> Quality:
         raise ValueError("empty assignment")
     e_sizes = [r["edges"] for r in ec]
     v_sizes = [r["vertices"] for r in vc]
-    total_replicas = sum(v_sizes)
+    n_edges = sum(e_sizes)
     return Quality(
-        rf=total_replicas / n_vertices,
-        eb=max(e_sizes) / (sum(e_sizes) / len(e_sizes)),
+        rf=sum(v_sizes) / n_vertices,
+        eb=max(e_sizes) / (n_edges / len(e_sizes)),
         vb=max(v_sizes) / (sum(v_sizes) / len(v_sizes)),
         n_vertices=n_vertices,
         n_edges=n_edges,

@@ -70,7 +70,6 @@ DATASETS: dict[str, DatasetSpec] = {
     ]
 }
 
-SOCIAL_LITE = [n for n, s in DATASETS.items() if s.kind == "social"]
 TABLE5_GRAPHS = [
     "flickr_lite",
     "pokec_lite",

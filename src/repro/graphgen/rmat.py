@@ -56,11 +56,6 @@ def rmat(
     scale: int,
     edge_factor: int,
     seed: int = 0,
-    a: float = GRAPH500_A,
-    b: float = GRAPH500_B,
-    c: float = GRAPH500_C,
 ) -> DataFrame:
-    """R-MAT graph as a canonical Spark edge DataFrame."""
-    return edges_to_spark(
-        spark, rmat_edges_np(scale, edge_factor, seed=seed, a=a, b=b, c=c)
-    )
+    """R-MAT graph (Graph500 skew) as a canonical Spark edge DataFrame."""
+    return edges_to_spark(spark, rmat_edges_np(scale, edge_factor, seed=seed))

@@ -3,40 +3,36 @@ from typing import Callable
 
 from pyspark.sql import DataFrame, SparkSession
 
-
-def _lazy(module: str, fn: str) -> Callable:
-    def call(spark: SparkSession, edges: DataFrame, n_parts: int, **kw):
-        import importlib
-
-        return getattr(importlib.import_module(module), fn)(
-            spark, edges, n_parts, **kw
-        )
-
-    call.__name__ = fn
-    return call
-
+from repro.core.distributed_ne import distributed_ne
+from repro.partitioners.ginger import hybrid_ginger
+from repro.partitioners.greedy_streaming import hdrf, oblivious
+from repro.partitioners.hashing import dbh, grid_hash, hybrid_hash, random_hash
+from repro.partitioners.labelprop import spinner, xtrapulp_like
+from repro.partitioners.multilevel import parmetis_like
+from repro.partitioners.ne_sequential import ne_sequential, sne
+from repro.partitioners.sheep import sheep_like
 
 #: name (as used in the paper's tables) -> partitioner callable
 PARTITIONERS: dict[str, Callable] = {
     # hash family
-    "random": _lazy("repro.partitioners.hashing", "random_hash"),
-    "grid": _lazy("repro.partitioners.hashing", "grid_hash"),
-    "dbh": _lazy("repro.partitioners.hashing", "dbh"),
-    "hybrid": _lazy("repro.partitioners.hashing", "hybrid_hash"),
+    "random": random_hash,
+    "grid": grid_hash,
+    "dbh": dbh,
+    "hybrid": hybrid_hash,
     # greedy / streaming family
-    "oblivious": _lazy("repro.partitioners.greedy_streaming", "oblivious"),
-    "hdrf": _lazy("repro.partitioners.greedy_streaming", "hdrf"),
-    "hybrid_ginger": _lazy("repro.partitioners.ginger", "hybrid_ginger"),
+    "oblivious": oblivious,
+    "hdrf": hdrf,
+    "hybrid_ginger": hybrid_ginger,
     # sequential expansion family (Table 4)
-    "ne": _lazy("repro.partitioners.ne_sequential", "ne_sequential"),
-    "sne": _lazy("repro.partitioners.ne_sequential", "sne"),
+    "ne": ne_sequential,
+    "sne": sne,
     # vertex partitioners converted to edge partitions (Bourse et al.)
-    "spinner": _lazy("repro.partitioners.labelprop", "spinner"),
-    "xtrapulp": _lazy("repro.partitioners.labelprop", "xtrapulp_like"),
-    "parmetis": _lazy("repro.partitioners.multilevel", "parmetis_like"),
-    "sheep": _lazy("repro.partitioners.sheep", "sheep_like"),
+    "spinner": spinner,
+    "xtrapulp": xtrapulp_like,
+    "parmetis": parmetis_like,
+    "sheep": sheep_like,
     # the paper's contribution
-    "distributed_ne": _lazy("repro.core.distributed_ne", "distributed_ne"),
+    "distributed_ne": distributed_ne,
 }
 
 
@@ -44,3 +40,18 @@ def get_partitioner(name: str) -> Callable:
     if name not in PARTITIONERS:
         raise KeyError(f"unknown partitioner {name!r}; known: {sorted(PARTITIONERS)}")
     return PARTITIONERS[name]
+
+
+def partition(
+    spark: SparkSession,
+    name: str,
+    edges: DataFrame,
+    n_parts: int,
+    *,
+    seed: int,
+    lam: float,
+) -> DataFrame:
+    """Run the registry's ``name`` at its defaults; the multi-expansion
+    factor ``lam`` goes to Distributed NE only."""
+    kw = {"lam": lam} if name == "distributed_ne" else {}
+    return get_partitioner(name)(spark, edges, n_parts, seed=seed, **kw)

@@ -1,12 +1,40 @@
-"""Vertex-partition -> edge-partition conversion (Bourse et al. [9]).
+"""Two adapters between driver- or vertex-level rules and the edge-partition
+contract ``DataFrame(src, dst, part)``.
 
-The paper compares vertex partitioners (ParMETIS, Spinner, XtraPuLP) on
-edge-partitioning quality by assigning every edge to a random endpoint's
-vertex partition (§7.1). ``vertex_to_edge`` implements exactly that with
-a deterministic coin (xxhash64 parity).
+- ``vertex_to_edge``: vertex partition -> edge partition (Bourse et al.
+  [9]). The paper compares vertex partitioners (ParMETIS, Spinner,
+  XtraPuLP) on edge-partitioning quality by assigning every edge to a
+  random endpoint's vertex partition (§7.1); the coin is deterministic
+  (xxhash64 parity).
+- ``on_driver``: a driver-local numpy rule over the whole edge stream
+  (HDRF, NE/SNE, Sheep), collected in a seeded pseudo-random order.
 """
-from pyspark.sql import DataFrame
+from typing import Callable
+
+import numpy as np
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+
+
+def on_driver(
+    spark: SparkSession,
+    edges: DataFrame,
+    seed: int,
+    rule: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> DataFrame:
+    """Apply ``rule(src, dst) -> part per edge`` on the driver.
+
+    The edges reach the rule in ``xxhash64(src, dst, seed)`` order (ties
+    by ``(src, dst)``): the stream order of the sequential baselines.
+    """
+    pdf = (
+        edges.withColumn("ord", F.xxhash64("src", "dst", F.lit(seed)))
+        .orderBy("ord", "src", "dst")
+        .select("src", "dst")
+        .toPandas()
+    )
+    pdf["part"] = rule(pdf["src"].to_numpy(), pdf["dst"].to_numpy()).astype("int32")
+    return spark.createDataFrame(pdf, schema="src long, dst long, part int")
 
 
 def vertex_to_edge(

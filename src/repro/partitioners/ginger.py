@@ -10,50 +10,34 @@ from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
 from repro.core.incidence import degrees, incidence
-from repro.partitioners.hashing import hybrid_hash
+from repro.partitioners.hashing import hash_part, hybrid_owner, hybrid_theta
+
+N_ROUNDS = 2
 
 
 def hybrid_ginger(
-    spark: SparkSession,
-    edges: DataFrame,
-    n_parts: int,
-    *,
-    seed: int = 0,
-    theta: int | None = None,
-    n_rounds: int = 2,
-    nu: float = 1.0,
+    spark: SparkSession, edges: DataFrame, n_parts: int, *, seed: int = 0
 ) -> DataFrame:
-    """Refined hybrid hash; ``nu`` scales the balance penalty."""
+    """Hybrid hash refined for ``N_ROUNDS`` rounds; a vertex's score per
+    part is its edges there minus the part's load over the mean load."""
     deg = degrees(edges).cache()
-    if theta is None:
-        theta = max(4, int(4 * deg.agg(F.avg("degree")).first()[0]))
-    # Ownership under the hybrid-cut rule: dst if low-degree, else src.
-    ddst = deg.withColumnRenamed("v", "dst").withColumnRenamed("degree", "ddst")
-    owned = edges.join(ddst, "dst").select(
-        "src",
-        "dst",
-        F.when(F.col("ddst") <= F.lit(theta), F.col("dst"))
-        .otherwise(F.col("src"))
-        .alias("owner"),
-    )
+    theta = hybrid_theta(deg)
+    owner = hybrid_owner(edges, deg, theta).cache()
+    asg = owner.select("src", "dst", hash_part(n_parts, seed, "owner").alias("part"))
+    # Only low-degree owners move, with the edges they own.
     low_owners = deg.filter(F.col("degree") <= theta).select(
         F.col("v").alias("owner")
     )
-    owned = owned.join(low_owners, "owner", "left_semi").cache()
-
-    asg = hybrid_hash(spark, edges, n_parts, seed=seed, theta=theta)
+    owned = owner.join(low_owners, "owner", "left_semi").cache()
     w_best = Window.partitionBy("v").orderBy(F.desc("score"), "part")
-    for _ in range(n_rounds):
+    for _ in range(N_ROUNDS):
         asg = asg.cache()
         loads = asg.groupBy("part").agg(F.count(F.lit(1)).alias("load"))
         avg_load = max(1.0, asg.count() / n_parts)
         aff = incidence(asg).groupBy("v", "part").agg(F.count(F.lit(1)).alias("aff"))
         best = (
             aff.join(F.broadcast(loads), "part")
-            .withColumn(
-                "score",
-                F.col("aff") - F.lit(nu) * F.col("load") / F.lit(avg_load),
-            )
+            .withColumn("score", F.col("aff") - F.col("load") / F.lit(avg_load))
             .withColumn("rk", F.row_number().over(w_best))
             .filter(F.col("rk") == 1)
             .select(F.col("v").alias("owner"), F.col("part").alias("newpart"))
@@ -68,6 +52,6 @@ def hybrid_ginger(
             )
             .localCheckpoint(eager=True)
         )
-    deg.unpersist(blocking=False)
-    owned.unpersist(blocking=False)
+    for df in (deg, owner, owned):
+        df.unpersist(blocking=False)
     return asg

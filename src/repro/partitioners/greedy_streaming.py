@@ -16,6 +16,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.partitioners.convert import on_driver
+
 _OUT_SCHEMA = "src long, dst long, part int"
 
 
@@ -44,14 +46,9 @@ def _greedy_oblivious(src: np.ndarray, dst: np.ndarray, n_parts: int) -> np.ndar
     return out
 
 
-def _greedy_hdrf(
-    src: np.ndarray,
-    dst: np.ndarray,
-    n_parts: int,
-    lam_bal: float = 1.0,
-    eps: float = 1e-9,
-) -> np.ndarray:
-    """HDRF scoring (partial degrees, replication + balance terms)."""
+def _greedy_hdrf(src: np.ndarray, dst: np.ndarray, n_parts: int) -> np.ndarray:
+    """HDRF scoring (partial degrees, replication + balance terms, the
+    balance term at weight 1)."""
     a: dict[int, set[int]] = defaultdict(set)
     delta: dict[int, int] = defaultdict(int)
     loads = np.zeros(n_parts, dtype=np.float64)
@@ -64,7 +61,7 @@ def _greedy_hdrf(
         theta_u = du / (du + dv)
         au, av = a[u], a[v]
         maxl, minl = loads.max(), loads.min()
-        s = lam_bal * (maxl - loads) / (eps + maxl - minl)
+        s = (maxl - loads) / (1e-9 + maxl - minl)
         for p in au:
             s[p] += 2.0 - theta_u
         for p in av:
@@ -78,15 +75,9 @@ def _greedy_hdrf(
 
 
 def oblivious(
-    spark: SparkSession,
-    edges: DataFrame,
-    n_parts: int,
-    *,
-    seed: int = 0,
-    n_streams: int | None = None,
+    spark: SparkSession, edges: DataFrame, n_parts: int, *, seed: int = 0
 ) -> DataFrame:
     """|P| parallel oblivious greedy streams (PowerGraph ingress model)."""
-    n_streams = n_streams or n_parts
 
     def run(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values(["ord", "src", "dst"])
@@ -98,28 +89,15 @@ def oblivious(
         )
 
     streams = edges.withColumn(
-        "stream", F.pmod(F.xxhash64("src", "dst", F.lit(seed)), F.lit(n_streams))
+        "stream", F.pmod(F.xxhash64("src", "dst", F.lit(seed)), F.lit(n_parts))
     ).withColumn("ord", F.xxhash64("dst", "src", F.lit(seed + 1)))
     return streams.groupBy("stream").applyInPandas(run, schema=_OUT_SCHEMA)
 
 
 def hdrf(
-    spark: SparkSession,
-    edges: DataFrame,
-    n_parts: int,
-    *,
-    seed: int = 0,
-    lam_bal: float = 1.0,
+    spark: SparkSession, edges: DataFrame, n_parts: int, *, seed: int = 0
 ) -> DataFrame:
     """Sequential HDRF over a pseudo-random stream order (Table 4 baseline)."""
-    pdf = (
-        edges.withColumn("ord", F.xxhash64("src", "dst", F.lit(seed)))
-        .orderBy("ord", "src", "dst")
-        .select("src", "dst")
-        .toPandas()
+    return on_driver(
+        spark, edges, seed, lambda src, dst: _greedy_hdrf(src, dst, n_parts)
     )
-    parts = _greedy_hdrf(
-        pdf["src"].to_numpy(), pdf["dst"].to_numpy(), n_parts, lam_bal=lam_bal
-    )
-    pdf["part"] = parts.astype("int32")
-    return spark.createDataFrame(pdf, schema=_OUT_SCHEMA)

@@ -2,14 +2,20 @@
 
 All are pure Catalyst expressions (xxhash64) — the paper's "lightweight
 hash calculation" family (§2.2) — plus the degree computation for DBH
-and Hybrid (one aggregation + joins).
+and Hybrid (one aggregation + joins). The hybrid-cut owner rule
+(``hybrid_theta``, ``hybrid_owner``) is shared with Hybrid Ginger.
 """
 import math
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.incidence import degrees
+
+
+def hash_part(n_parts: int, seed: int, *cols) -> Column:
+    """``xxhash64(*cols, seed) mod n_parts`` as an int."""
+    return F.pmod(F.xxhash64(*cols, F.lit(seed)), F.lit(n_parts)).cast("int")
 
 
 def random_hash(
@@ -17,11 +23,7 @@ def random_hash(
 ) -> DataFrame:
     """1D random hash: every edge to a uniform pseudo-random partition."""
     return edges.select(
-        "src",
-        "dst",
-        F.pmod(F.xxhash64("src", "dst", F.lit(seed)), F.lit(n_parts))
-        .cast("int")
-        .alias("part"),
+        "src", "dst", hash_part(n_parts, seed, "src", "dst").alias("part")
     )
 
 
@@ -63,14 +65,25 @@ def dbh(
     return (
         edges.join(d_src, "src")
         .join(d_dst, "dst")
-        .select(
-            "src",
-            "dst",
-            F.pmod(F.xxhash64(key, F.lit(seed)), F.lit(n_parts))
-            .cast("int")
-            .alias("part"),
-        )
+        .select("src", "dst", hash_part(n_parts, seed, key).alias("part"))
     )
+
+
+def hybrid_theta(deg: DataFrame) -> int:
+    """PowerLyra's low/high-degree threshold, scaled to the ``_lite``
+    graphs: 4x the average degree, at least 4 (PowerLyra uses 100)."""
+    return max(4, int(4 * deg.agg(F.avg("degree")).first()[0]))
+
+
+def hybrid_owner(edges: DataFrame, deg: DataFrame, theta: int) -> DataFrame:
+    """(src, dst, owner): the hybrid-cut owner of each edge is ``dst``
+    when deg(dst) <= theta (low-cut: a low-degree vertex keeps its edges
+    together), else ``src`` (high-cut: a high-degree vertex is split)."""
+    d_dst = deg.select(F.col("v").alias("dst"), F.col("degree").alias("ddst"))
+    owner = F.when(F.col("ddst") <= F.lit(theta), F.col("dst")).otherwise(
+        F.col("src")
+    )
+    return edges.join(d_dst, "dst").select("src", "dst", owner.alias("owner"))
 
 
 def hybrid_hash(
@@ -81,28 +94,13 @@ def hybrid_hash(
     seed: int = 0,
     theta: int | None = None,
 ) -> DataFrame:
-    """PowerLyra hybrid-cut [13]: group a low-degree vertex's edges together.
-
-    An edge is hashed by its ``dst`` endpoint when deg(dst) <= theta
-    (low-cut: low-degree vertices keep their edges on one machine), and
-    by ``src`` otherwise (high-cut: high-degree vertices are split).
-    PowerLyra's default threshold is 100; for the ``_lite`` graphs the
-    default scales as 4x the average degree.
-    """
+    """PowerLyra hybrid-cut [13]: hash each edge by its ``hybrid_owner``
+    (``theta`` defaults to ``hybrid_theta``)."""
     deg = degrees(edges).cache()
     if theta is None:
-        row = deg.agg(F.avg("degree").alias("a")).first()
-        theta = max(4, int(4 * row["a"]))
-    d_dst = deg.withColumnRenamed("v", "dst").withColumnRenamed("degree", "ddst")
-    key = F.when(F.col("ddst") <= F.lit(theta), F.col("dst")).otherwise(
-        F.col("src")
-    )
-    out = edges.join(d_dst, "dst").select(
-        "src",
-        "dst",
-        F.pmod(F.xxhash64(key, F.lit(seed)), F.lit(n_parts))
-        .cast("int")
-        .alias("part"),
+        theta = hybrid_theta(deg)
+    out = hybrid_owner(edges, deg, theta).select(
+        "src", "dst", hash_part(n_parts, seed, "owner").alias("part")
     )
     deg.unpersist(blocking=False)
     return out

@@ -13,6 +13,7 @@ from pyspark.sql import functions as F
 from repro.core.hashutil import mix_col
 from repro.core.incidence import degrees, incidence, vertices
 from repro.partitioners.convert import vertex_to_edge
+from repro.partitioners.hashing import hash_part
 from repro.session import shuffle_width
 
 
@@ -30,11 +31,11 @@ def _lp_round(
     edges: DataFrame,
     labels: DataFrame,
     deg: DataFrame,
-    n_parts: int,
-    mu: float,
     avg_load: float,
 ) -> DataFrame:
-    """One balance-penalised LP round; every vertex re-decides its label."""
+    """One balance-penalised LP round; every vertex re-decides its label.
+    A label's score is its neighbor count minus its load over the mean
+    load."""
     cnt = _neighbor_label_counts(edges, labels)
     loads = (
         labels.join(deg, "v")
@@ -45,9 +46,7 @@ def _lp_round(
     return (
         cnt.join(F.broadcast(loads), "label", "left")
         .fillna(0, subset=["load"])
-        .withColumn(
-            "score", F.col("cnt") - F.lit(mu) * F.col("load") / F.lit(avg_load)
-        )
+        .withColumn("score", F.col("cnt") - F.col("load") / F.lit(avg_load))
         .withColumn("rk", F.row_number().over(w))
         .filter(F.col("rk") == 1)
         .select("v", "label")
@@ -61,18 +60,15 @@ def spinner_labels(
     *,
     seed: int = 0,
     n_iters: int = 10,
-    mu: float = 1.0,
 ) -> DataFrame:
     """Spinner vertex labels: random init + penalised LP iterations."""
     edges = edges.cache()
     deg = degrees(edges).cache()
     avg_load = max(1.0, 2.0 * edges.count() / n_parts)
-    labels = vertices(edges).select(
-        "v", F.pmod(F.xxhash64("v", F.lit(seed)), F.lit(n_parts)).cast("int").alias("label")
-    )
+    labels = vertices(edges).select("v", hash_part(n_parts, seed, "v").alias("label"))
     for _ in range(n_iters):
         labels = (
-            _lp_round(edges, labels, deg, n_parts, mu, avg_load)
+            _lp_round(edges, labels, deg, avg_load)
             .coalesce(shuffle_width(spark))
             .localCheckpoint(eager=True)
         )
@@ -88,11 +84,8 @@ def spinner(
     *,
     seed: int = 0,
     n_iters: int = 10,
-    mu: float = 1.0,
 ) -> DataFrame:
-    labels = spinner_labels(
-        spark, edges, n_parts, seed=seed, n_iters=n_iters, mu=mu
-    )
+    labels = spinner_labels(spark, edges, n_parts, seed=seed, n_iters=n_iters)
     return vertex_to_edge(edges, labels, n_parts, seed=seed)
 
 
@@ -104,7 +97,6 @@ def xtrapulp_labels(
     seed: int = 0,
     max_bfs_iters: int = 30,
     refine_iters: int = 5,
-    mu: float = 1.0,
 ) -> DataFrame:
     """XtraPuLP-style labels: seeded outward LP, then balance refinement."""
     edges = edges.cache()
@@ -144,13 +136,13 @@ def xtrapulp_labels(
             break  # disconnected remainder
     # Unreached (disconnected) vertices: deterministic hash labels.
     rest = verts.join(labels.select("v"), "v", "left_anti").select(
-        "v", F.pmod(F.xxhash64("v", F.lit(seed)), F.lit(n_parts)).cast("int").alias("label")
+        "v", hash_part(n_parts, seed, "v").alias("label")
     )
     labels = labels.unionAll(rest)
     # Phase 2: balance-penalised refinement.
     for _ in range(refine_iters):
         labels = (
-            _lp_round(edges, labels, deg, n_parts, mu, avg_load)
+            _lp_round(edges, labels, deg, avg_load)
             .coalesce(shuffle_width(spark))
             .localCheckpoint(eager=True)
         )

@@ -17,19 +17,12 @@ the small Table 6 road networks); the Spark contract is preserved.
 from collections import defaultdict
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.hashutil import mix_py
 from repro.graphgen.util import edges_to_pandas
 from repro.partitioners.convert import vertex_to_edge
-
-
-def _relabel(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ids = np.unique(np.concatenate([src, dst]))
-    lookup = {int(v): i for i, v in enumerate(ids)}
-    s = np.array([lookup[int(v)] for v in src], dtype=np.int64)
-    d = np.array([lookup[int(v)] for v in dst], dtype=np.int64)
-    return s, d, ids
 
 
 def _match_and_coarsen(
@@ -100,18 +93,17 @@ def _refine(
     vw: np.ndarray,
     label: np.ndarray,
     n_parts: int,
-    n_passes: int = 3,
-    imbalance: float = 1.05,
 ) -> np.ndarray:
-    """Boundary moves that reduce edge cut, subject to a balance cap."""
+    """Boundary moves that reduce edge cut, subject to a balance cap of
+    1.05x the mean part weight; at most 3 passes."""
     adj = defaultdict(list)
     for u, v in zip(src, dst):
         adj[int(u)].append(int(v))
         adj[int(v)].append(int(u))
     weights = np.zeros(n_parts, dtype=np.int64)
     np.add.at(weights, label, vw)
-    cap = imbalance * vw.sum() / n_parts
-    for _ in range(n_passes):
+    cap = 1.05 * vw.sum() / n_parts
+    for _ in range(3):
         moved = 0
         for v in range(len(vw)):
             nbrs = adj.get(v)
@@ -142,13 +134,15 @@ def parmetis_like(
     n_parts: int,
     *,
     seed: int = 0,
-    coarsest: int | None = None,
 ) -> DataFrame:
-    """Multilevel vertex partitioning converted to an edge partition."""
+    """Multilevel vertex partitioning converted to an edge partition;
+    coarsening stops at ``max(4 * n_parts, 64)`` vertices."""
     pdf = edges_to_pandas(edges)
-    src0, dst0, ids = _relabel(pdf["src"].to_numpy(), pdf["dst"].to_numpy())
+    m = len(pdf)
+    ids, inv = np.unique(np.concatenate([pdf["src"], pdf["dst"]]), return_inverse=True)
+    src0, dst0 = inv[:m], inv[m:]
     n = len(ids)
-    coarsest = coarsest or max(4 * n_parts, 64)
+    coarsest = max(4 * n_parts, 64)
     levels: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     src, dst, vw = src0, dst0, np.ones(n, dtype=np.int64)
     lvl = 0
@@ -168,8 +162,6 @@ def parmetis_like(
     for fsrc, fdst, fvw, cid in reversed(levels):
         label = label[cid]
         label = _refine(fsrc, fdst, fvw, label, n_parts)
-    import pandas as pd
-
     lab_df = spark.createDataFrame(
         pd.DataFrame({"v": ids, "label": label.astype("int32")}),
         "v long, label int",

@@ -5,23 +5,23 @@ whole graph is in memory and partitions are grown one after another,
 always expanding the boundary vertex with minimal remaining degree and
 closing over replication-free two-hop edges (§3.1 of the paper). SNE is
 its streaming variant: only a bounded window of the edge stream is
-visible while expanding.
+visible while expanding, so NE is SNE with the whole stream in one
+window (``ne_sequential`` is ``sne(..., n_batches=1)``).
 
 Both are *deliberately* driver-local sequential loops — in Table 4 they
-are the sequential baselines Distributed NE is compared against. The
-Spark contract (edges in, assignment out) is kept for the harness.
+are the sequential baselines Distributed NE is compared against. They
+run through ``convert.on_driver`` (edges collected in a seeded stream
+order, assignment returned as a Spark DataFrame).
 """
 import heapq
 import math
 from collections import defaultdict
 
-import pandas as pd
+import numpy as np
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.hashutil import mix_py
-
-_OUT_SCHEMA = "src long, dst long, part int"
+from repro.partitioners.convert import on_driver
 
 
 class _ExpansionState:
@@ -92,63 +92,6 @@ class _ExpansionState:
         return allocated
 
 
-def _random_vertex(state: _ExpansionState, order: list[int], ptr: list[int]) -> int | None:
-    while ptr[0] < len(order):
-        v = order[ptr[0]]
-        if state.drest.get(v, 0):
-            return v
-        ptr[0] += 1
-    return None
-
-
-def _collect_pairs(edges: DataFrame, seed: int) -> pd.DataFrame:
-    return (
-        edges.withColumn("ord", F.xxhash64("src", "dst", F.lit(seed)))
-        .orderBy("ord", "src", "dst")
-        .select("src", "dst")
-        .toPandas()
-    )
-
-
-def _to_spark(spark: SparkSession, pdf: pd.DataFrame, parts: dict[int, int], n_parts: int, seed: int) -> DataFrame:
-    out = []
-    for i in range(len(pdf)):
-        out.append(parts.get(i, mix_py(i, seed) % n_parts))
-    pdf = pdf.copy()
-    pdf["part"] = pd.array(out, dtype="int32")
-    return spark.createDataFrame(pdf, schema=_OUT_SCHEMA)
-
-
-def ne_sequential(
-    spark: SparkSession,
-    edges: DataFrame,
-    n_parts: int,
-    *,
-    alpha: float = 1.1,
-    seed: int = 0,
-) -> DataFrame:
-    """Offline sequential NE: grow partitions one at a time to capacity."""
-    pdf = _collect_pairs(edges, seed)
-    m = len(pdf)
-    state = _ExpansionState(n_parts, math.ceil(alpha * m / n_parts))
-    src, dst = pdf["src"].to_numpy(), pdf["dst"].to_numpy()
-    for i in range(m):
-        state.add_edge(i, int(src[i]), int(dst[i]))
-    order = sorted(set(state.adj), key=lambda v: (mix_py(v, seed), v))
-    ptr = [0]
-    for p in range(n_parts):
-        while state.sizes[p] < state.cap and state.total < m:
-            v = state.pop_boundary(p)
-            if v is None:
-                v = _random_vertex(state, order, ptr)
-                if v is None:
-                    break
-            state.expand(v, p)
-        if state.total == m:
-            break
-    return _to_spark(spark, pdf, state.parts, n_parts, seed)
-
-
 def sne(
     spark: SparkSession,
     edges: DataFrame,
@@ -167,52 +110,68 @@ def sne(
     neighborhoods — smaller windows degrade RF below even HDRF, which
     is not the paper's regime (Table 4: NE < SNE < HDRF).
 
-    The expansion loop is NE's; the difference is visibility — when the
-    current window has no expandable edge left for the partition being
-    grown, the next stream batch is revealed. The limited lookahead is
-    what costs SNE quality relative to offline NE (paper Table 4:
-    NE < SNE < HDRF in replication factor).
+    When the current window has no expandable edge left for the
+    partition being grown, the next stream batch is revealed. The
+    limited lookahead is what costs SNE quality relative to offline NE
+    (``n_batches=1``). Edges left unallocated are hashed.
     """
-    pdf = _collect_pairs(edges, seed)
-    m = len(pdf)
-    state = _ExpansionState(n_parts, math.ceil(alpha * m / n_parts))
-    src, dst = pdf["src"].to_numpy(), pdf["dst"].to_numpy()
-    batch = math.ceil(m / n_batches)
-    revealed = 0
 
-    def reveal_next() -> bool:
-        nonlocal revealed
-        if revealed >= m:
-            return False
-        hi = min(revealed + batch, m)
-        for i in range(revealed, hi):
-            state.add_edge(i, int(src[i]), int(dst[i]))
-        revealed = hi
-        return True
+    def rule(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        m = len(src)
+        state = _ExpansionState(n_parts, math.ceil(alpha * m / n_parts))
+        batch = math.ceil(m / n_batches)
+        revealed = 0
 
-    reveal_next()
-    order = sorted(state.drest, key=lambda v: (mix_py(v, seed), v))
-    ptr = [0]
-    for p in range(n_parts):
-        while state.sizes[p] < state.cap and state.total < m:
-            v = state.pop_boundary(p)
-            if v is None:
-                v = _random_vertex(state, order, ptr)
-            if v is None:
-                if not reveal_next():
-                    break
-                # new edges may revive the partition's boundary (members
-                # that regained unallocated incident edges), the random
-                # order, and its cursor
-                for u in state.members[p]:
-                    if state.drest.get(u, 0):
-                        heapq.heappush(state.heaps[p], (state.drest[u], u))
-                order = sorted(
-                    state.drest, key=lambda u: (mix_py(u, seed), u)
-                )
-                ptr = [0]
-                continue
-            state.expand(v, p)
-        if state.total == m:
-            break
-    return _to_spark(spark, pdf, state.parts, n_parts, seed)
+        def reveal_next() -> bool:
+            nonlocal revealed
+            if revealed >= m:
+                return False
+            hi = min(revealed + batch, m)
+            for i in range(revealed, hi):
+                state.add_edge(i, int(src[i]), int(dst[i]))
+            revealed = hi
+            return True
+
+        reveal_next()
+        order = sorted(state.drest, key=lambda v: (mix_py(v, seed), v))
+        ptr = 0
+        for p in range(n_parts):
+            while state.sizes[p] < state.cap and state.total < m:
+                v = state.pop_boundary(p)
+                if v is None:
+                    # next not-yet-exhausted vertex in the random order
+                    while ptr < len(order) and not state.drest.get(order[ptr], 0):
+                        ptr += 1
+                    v = order[ptr] if ptr < len(order) else None
+                if v is None:
+                    if not reveal_next():
+                        break
+                    # new edges may revive the partition's boundary (members
+                    # that regained unallocated incident edges), the random
+                    # order, and its cursor
+                    for u in state.members[p]:
+                        if state.drest.get(u, 0):
+                            heapq.heappush(state.heaps[p], (state.drest[u], u))
+                    order = sorted(state.drest, key=lambda u: (mix_py(u, seed), u))
+                    ptr = 0
+                    continue
+                state.expand(v, p)
+            if state.total == m:
+                break
+        return np.array(
+            [state.parts.get(i, mix_py(i, seed) % n_parts) for i in range(m)]
+        )
+
+    return on_driver(spark, edges, seed, rule)
+
+
+def ne_sequential(
+    spark: SparkSession,
+    edges: DataFrame,
+    n_parts: int,
+    *,
+    alpha: float = 1.1,
+    seed: int = 0,
+) -> DataFrame:
+    """Offline sequential NE: SNE with the whole stream in one window."""
+    return sne(spark, edges, n_parts, alpha=alpha, seed=seed, n_batches=1)

@@ -11,32 +11,21 @@ bin-packs DFS-contiguous subtree chunks into |P| balanced parts.
 
 Like Sheep itself, this does very well on tree-like graphs (roads, web)
 and worse on dense social graphs — which is the behaviour Table 6 and
-Figure 8 rely on. Driver-local numpy; Spark contract preserved.
+Figure 8 rely on. Driver-local numpy through ``convert.on_driver``.
 """
 from collections import defaultdict
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.graphgen.util import edges_to_pandas
+from repro.partitioners.convert import on_driver
 
 
-def sheep_like(
-    spark: SparkSession,
-    edges: DataFrame,
-    n_parts: int,
-    *,
-    seed: int = 0,
-) -> DataFrame:
-    pdf = edges_to_pandas(edges)
-    src = pdf["src"].to_numpy()
-    dst = pdf["dst"].to_numpy()
-    ids = np.unique(np.concatenate([src, dst]))
-    idx = {int(v): i for i, v in enumerate(ids)}
+def _sheep(src: np.ndarray, dst: np.ndarray, n_parts: int) -> np.ndarray:
+    """Part per edge: its owner's chunk of the elimination forest."""
+    ids, inv = np.unique(np.concatenate([src, dst]), return_inverse=True)
     n = len(ids)
-    s = np.array([idx[int(v)] for v in src])
-    d = np.array([idx[int(v)] for v in dst])
+    s, d = inv[: len(src)], inv[len(src) :]
     deg = np.zeros(n, dtype=np.int64)
     np.add.at(deg, s, 1)
     np.add.at(deg, d, 1)
@@ -88,6 +77,12 @@ def sheep_like(
         acc += float(own_w[v])
         if acc >= target * (p + 1) and p < n_parts - 1:
             p += 1
-    part = label[owner].astype("int32")
-    out = pd.DataFrame({"src": src, "dst": dst, "part": part})
-    return spark.createDataFrame(out, "src long, dst long, part int")
+    return label[owner]
+
+
+def sheep_like(
+    spark: SparkSession, edges: DataFrame, n_parts: int, *, seed: int = 0
+) -> DataFrame:
+    """Sheep-like edge partition; the result does not depend on the
+    edge order that ``seed`` sets."""
+    return on_driver(spark, edges, seed, lambda src, dst: _sheep(src, dst, n_parts))

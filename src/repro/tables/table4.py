@@ -12,11 +12,9 @@ import time
 
 from pyspark.sql import SparkSession
 
-from repro.core.distributed_ne import distributed_ne
 from repro.core.metrics import partition_quality
 from repro.graphgen.datasets import TABLE4_GRAPHS, load_dataset
-from repro.partitioners.greedy_streaming import hdrf
-from repro.partitioners.ne_sequential import ne_sequential, sne
+from repro.partitioners import partition
 
 N_PARTS = 64
 LAM = 0.1
@@ -35,16 +33,6 @@ PAPER_TIME = {
     "distributed_ne": {"pokec_lite": 1.029, "flickr_lite": 7.523, "livej_lite": 3.309, "orkut_lite": 3.224},
 }
 
-_METHODS = {
-    "hdrf": lambda spark, e, p, seed, lam: hdrf(spark, e, p, seed=seed),
-    "ne": lambda spark, e, p, seed, lam: ne_sequential(spark, e, p, seed=seed),
-    "sne": lambda spark, e, p, seed, lam: sne(spark, e, p, seed=seed),
-    "distributed_ne": lambda spark, e, p, seed, lam: distributed_ne(
-        spark, e, p, seed=seed, lam=lam
-    ),
-}
-
-
 def table4_rows(
     spark: SparkSession,
     *,
@@ -58,9 +46,9 @@ def table4_rows(
     for g in graphs:
         edges = load_dataset(spark, g).cache()
         edges.count()
-        for method, fn in _METHODS.items():
+        for method in PAPER_RF:  # hdrf, ne, sne, distributed_ne
             t0 = time.monotonic()
-            asg = fn(spark, edges, n_parts, seed, lam)
+            asg = partition(spark, method, edges, n_parts, seed=seed, lam=lam)
             q = partition_quality(asg)
             dt = time.monotonic() - t0
             rows.append(

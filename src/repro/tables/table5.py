@@ -18,7 +18,7 @@ from pyspark.sql import functions as F
 from repro.apps import app_cost, pagerank_trace, sssp_trace, wcc_trace
 from repro.core.metrics import partition_quality
 from repro.graphgen.datasets import TABLE5_GRAPHS, load_dataset
-from repro.partitioners import PARTITIONERS
+from repro.partitioners import partition
 
 N_PARTS = 64
 # Multi-expansion factor for Distributed NE: Fig. 6's plateau, within a few
@@ -69,13 +69,6 @@ PAPER_APPS = {  # app -> method -> graph -> (ET sec, COM GB, WB)
 # -----------------------------------------------------------------------
 
 
-def _partition(spark, name, edges, n_parts, seed, lam):
-    kw = {"seed": seed}
-    if name == "distributed_ne":
-        kw["lam"] = lam
-    return PARTITIONERS[name](spark, edges, n_parts, **kw)
-
-
 def table5_rows(
     spark: SparkSession,
     *,
@@ -99,7 +92,7 @@ def table5_rows(
         _, tr_pr = pagerank_trace(spark, edges, n_iters=pr_iters)
         traces = {"sssp": tr_sssp, "wcc": tr_wcc, "pagerank": tr_pr}
         for mname in methods:
-            asg = _partition(spark, mname, edges, n_parts, seed, lam).cache()
+            asg = partition(spark, mname, edges, n_parts, seed=seed, lam=lam).cache()
             asg.count()
             q = partition_quality(asg)
             pq = PAPER_QUALITY.get(mname, {}).get(g, (_NAN, _NAN, _NAN))

@@ -8,7 +8,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.metrics import partition_quality
 from repro.graphgen.datasets import ROAD_GRAPHS, load_dataset
-from repro.partitioners import PARTITIONERS
+from repro.partitioners import partition
 
 N_PARTS = 16  # quality ordering is P-stable; paper's P is unspecified here
 
@@ -45,10 +45,7 @@ def table6_rows(
         edges.count()
         row: dict = {"graph": g}
         for name in ORDER:
-            kw = {"seed": seed}
-            if name == "distributed_ne":
-                kw["lam"] = lam
-            asg = PARTITIONERS[name](spark, edges, n_parts, **kw)
+            asg = partition(spark, name, edges, n_parts, seed=seed, lam=lam)
             q = partition_quality(asg)
             row[name] = round(q.rf, 3)
             row[f"paper:{name}"] = PAPER[g][name]

@@ -71,7 +71,3 @@ def test_hdrf_good_edge_balance(spark, small_rmat):
     q = partition_quality(hdrf(spark, small_rmat, 8, seed=0))
     assert q.eb < 1.1
 
-
-def test_oblivious_stream_count_param(spark, tiny_rmat):
-    asg = oblivious(spark, tiny_rmat, 4, seed=0, n_streams=2)
-    assert asg.count() == tiny_rmat.count()

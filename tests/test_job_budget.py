@@ -1,0 +1,77 @@
+"""Spark job budgets: jobs per call of the pipeline's building blocks.
+
+Each call runs in its own job group on one small fixed graph, and
+includes a ``count()`` of its output when the output is a DataFrame.
+The budgets are the counts the code runs today, asserted with ``<=``:
+a change that lowers a count lowers its budget with it, and a budget is
+never raised. The counts do not depend on the number of task threads.
+"""
+import pytest
+
+from repro.apps import app_cost, pagerank_trace, sssp_trace, wcc_trace
+from repro.core.distributed_ne import distributed_ne
+from repro.core.metrics import partition_quality
+from repro.graphgen.rmat import rmat_edges_np
+from repro.graphgen.util import edges_to_spark
+from repro.partitioners.hashing import grid_hash
+
+
+@pytest.fixture(scope="module")
+def graph(spark):
+    edges = edges_to_spark(spark, rmat_edges_np(6, 4, seed=100)).cache()
+    edges.count()
+    return edges
+
+
+@pytest.fixture(scope="module")
+def grid(spark, graph):
+    asg = grid_hash(spark, graph, 4, seed=0).cache()
+    asg.count()
+    return asg
+
+
+def _jobs(spark, name: str, call) -> int:
+    sc = spark.sparkContext
+    group = f"job-budget-{name}"
+    sc.setJobGroup(group, name)
+    try:
+        call()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+#: name -> (budget, call(spark, graph))
+BUDGETS = {
+    # 2 rounds, then 11 edges through the fallback
+    "distributed_ne": (
+        21,
+        lambda s, g: distributed_ne(s, g, 4, lam=1.0, seed=0, max_iters=2).count(),
+    ),
+    "sssp_trace": (11, lambda s, g: sssp_trace(s, g, source=0)[0].count()),
+    "wcc_trace": (12, lambda s, g: wcc_trace(s, g)[0].count()),
+    "pagerank_trace": (5, lambda s, g: pagerank_trace(s, g, n_iters=3)[0].count()),
+}
+
+
+@pytest.mark.parametrize("name", list(BUDGETS))
+def test_job_budget(spark, graph, name):
+    budget, call = BUDGETS[name]
+    jobs = _jobs(spark, name, lambda: call(spark, graph))
+    assert jobs <= budget, f"{name}: {jobs} jobs, budget {budget}"
+
+
+def test_partition_quality_job_budget(spark, grid):
+    jobs = _jobs(spark, "partition_quality", lambda: partition_quality(grid))
+    assert jobs <= 3, f"{jobs} jobs"
+
+
+@pytest.mark.parametrize("app", ["sssp", "wcc", "pagerank"])
+def test_app_cost_job_budget(spark, graph, grid, app):
+    trace = {
+        "sssp": lambda: sssp_trace(spark, graph, source=0),
+        "wcc": lambda: wcc_trace(spark, graph),
+        "pagerank": lambda: pagerank_trace(spark, graph, n_iters=3),
+    }[app]()[1]
+    jobs = _jobs(spark, f"app_cost-{app}", lambda: app_cost(trace, grid, 4))
+    assert jobs <= 3, f"{jobs} jobs"
