@@ -13,7 +13,7 @@ from pyspark.sql import functions as F
 
 from repro.apps.engine import Trace
 from repro.core.incidence import incidence, vertices
-from repro.session import shuffle_width
+from repro.session import local_rows, shuffle_width
 
 
 def propagate(
@@ -81,7 +81,7 @@ def sssp_trace(
     max_steps: int = 10_000,
 ) -> tuple[DataFrame, Trace]:
     """Returns (distances(v, dist), Trace). Unreached vertices are absent."""
-    start = spark.createDataFrame([(source, 0)], "v long, label int")
+    start = local_rows(spark, [(source, 0)], "v long, label int")
     dist, trace = propagate(spark, edges, start, 1, max_steps)
     return dist.withColumnRenamed("label", "dist"), trace
 

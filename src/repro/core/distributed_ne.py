@@ -32,6 +32,12 @@ which tests compare bit-for-bit):
      or two consecutive rounds make no progress.
 fallback: leftover edges (isolated remnants, §7.3) go to the smallest
 part already containing an endpoint, else to a hash part.
+
+The driver keeps the barrier's small metadata (the part sizes, the
+needy parts' drawn vertices) and hands it to the next plan as JVM
+literals: the sizes as one array column (``_winners``), the drawn pairs
+and the empty starting state through ``repro.session.local_rows``. A
+round therefore starts no Python worker and no broadcast job.
 """
 import math
 from dataclasses import dataclass
@@ -41,7 +47,7 @@ from pyspark.sql import functions as F
 
 from repro.core.hashutil import mix_col
 from repro.core.incidence import incidence, with_eid
-from repro.session import shuffle_width
+from repro.session import local_rows, shuffle_width
 
 
 @dataclass
@@ -79,8 +85,8 @@ def distributed_ne(
     # Stable partition count for the iterated state DataFrames.
     width = shuffle_width(spark)
 
-    alloc = spark.createDataFrame([], "eid long, part int")
-    vparts = spark.createDataFrame([], "v long, part int")
+    alloc = local_rows(spark, [], "eid long, part int")
+    vparts = local_rows(spark, [], "v long, part int")
     sizes = [0] * n_parts
     total = 0
     stall = 0
@@ -125,9 +131,7 @@ def distributed_ne(
             )
             if rows:
                 pairs = [(r["v"], p) for r, p in zip(rows, needy)]
-                sel_all = sel.unionAll(
-                    spark.createDataFrame(pairs, "v long, part int")
-                )
+                sel_all = sel.unionAll(local_rows(spark, pairs, "v long, part int"))
 
         # --- one-hop allocation ---
         cand1 = (
@@ -135,7 +139,7 @@ def distributed_ne(
             .select("eid", "part")
             .dropDuplicates(["eid", "part"])
         )
-        new1 = _claim(spark, cand1, sizes, cap).cache()
+        new1 = _claim(cand1, sizes, cap).cache()
         n1 = {r["part"]: r["n"] for r in new1.groupBy("part").agg(F.count(F.lit(1)).alias("n")).collect()}
         for p, n in n1.items():
             sizes[p] += n
@@ -161,7 +165,7 @@ def distributed_ne(
                 .select("eid", "part")
                 .dropDuplicates(["eid", "part"])
             )
-            new2 = _claim(spark, c2, sizes, cap).cache()
+            new2 = _claim(c2, sizes, cap).cache()
             n2 = {r["part"]: r["n"] for r in new2.groupBy("part").agg(F.count(F.lit(1)).alias("n")).collect()}
             for p, n in n2.items():
                 sizes[p] += n
@@ -195,7 +199,7 @@ def distributed_ne(
             .dropDuplicates(["eid", "part"])
         )
         # No capacity window: a part's leftovers <= n_left <= m - its size.
-        candf = _winners(spark, candf, sizes, m).select("eid", "part")
+        candf = _winners(candf, sizes, m).select("eid", "part")
         rest = left.join(candf, "eid", "left_anti").select(
             "eid",
             F.pmod(mix_col(F.col("eid"), seed), F.lit(n_parts))
@@ -215,18 +219,15 @@ def distributed_ne(
     return assignment
 
 
-def _winners(
-    spark: SparkSession, cands: DataFrame, sizes: list[int], cap: int
-) -> DataFrame:
+def _winners(cands: DataFrame, sizes: list[int], cap: int) -> DataFrame:
     """Each eid's candidate (eid, part, cur) of minimal (size, part) among
-    parts with size < ``cap`` (the paper's CAS), lazily."""
-    under = F.broadcast(
-        spark.createDataFrame(
-            [(p, s) for p, s in enumerate(sizes) if s < cap], "part int, cur long"
-        )
-    )
+    parts with size < ``cap`` (the paper's CAS), lazily. The part sizes
+    enter the plan as one literal array column, ``cur = sizes[part]``."""
+    size_of = F.array(*map(F.lit, sizes)).cast("array<long>")
+    cur = F.element_at(size_of, F.col("part") + 1)
     return (
-        cands.join(under, "part")
+        cands.withColumn("cur", cur)
+        .filter(F.col("cur") < F.lit(cap))
         .withColumn(
             "rk", F.row_number().over(Window.partitionBy("eid").orderBy("cur", "part"))
         )
@@ -234,13 +235,11 @@ def _winners(
     )
 
 
-def _claim(
-    spark: SparkSession, cands: DataFrame, sizes: list[int], cap: int
-) -> DataFrame:
+def _claim(cands: DataFrame, sizes: list[int], cap: int) -> DataFrame:
     """Resolve candidate (eid, part) claims, lazily: ``_winners``, then
     each part keeps its lowest eids, up to ``cap - size``."""
     return (
-        _winners(spark, cands, sizes, cap)
+        _winners(cands, sizes, cap)
         .withColumn("crk", F.row_number().over(Window.partitionBy("part").orderBy("eid")))
         .filter(F.col("crk") <= F.lit(cap) - F.col("cur"))
         .select("eid", "part")

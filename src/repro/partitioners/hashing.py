@@ -96,11 +96,9 @@ def hybrid_hash(
 ) -> DataFrame:
     """PowerLyra hybrid-cut [13]: hash each edge by its ``hybrid_owner``
     (``theta`` defaults to ``hybrid_theta``)."""
-    deg = degrees(edges).cache()
+    deg = degrees(edges)
     if theta is None:
         theta = hybrid_theta(deg)
-    out = hybrid_owner(edges, deg, theta).select(
+    return hybrid_owner(edges, deg, theta).select(
         "src", "dst", hash_part(n_parts, seed, "owner").alias("part")
     )
-    deg.unpersist(blocking=False)
-    return out

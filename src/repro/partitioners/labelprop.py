@@ -14,7 +14,7 @@ from repro.core.hashutil import mix_col
 from repro.core.incidence import degrees, incidence, vertices
 from repro.partitioners.convert import vertex_to_edge
 from repro.partitioners.hashing import hash_part
-from repro.session import shuffle_width
+from repro.session import local_rows, shuffle_width
 
 
 def _neighbor_label_counts(edges: DataFrame, labels: DataFrame) -> DataFrame:
@@ -110,8 +110,10 @@ def xtrapulp_labels(
         .limit(n_parts)
         .collect()
     )
-    labels = spark.createDataFrame(
-        [(r["v"], i % n_parts) for i, r in enumerate(seeds)], "v long, label int"
+    labels = local_rows(
+        spark,
+        [(r["v"], i % n_parts) for i, r in enumerate(seeds)],
+        "v long, label int",
     )
     # Phase 1: spread labels outward; labelled vertices are frozen.
     w = Window.partitionBy("v").orderBy(F.desc("cnt"), "label")

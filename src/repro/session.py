@@ -8,11 +8,13 @@ runtime ``perfbench`` pins, so a plan's jobs and tasks do not depend on
 runtime statistics. The shuffle width is the context's default
 parallelism (the number of task threads): at this repo's graph sizes a
 wider shuffle only adds per-task overhead. Iterated state frames
-coalesce to the same width through ``shuffle_width``.
+coalesce to the same width through ``shuffle_width``. Small
+driver-side tables enter a plan through ``local_rows``, as JVM literals.
 """
 import os
 
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 
 
 def driver_memory() -> str:
@@ -55,3 +57,22 @@ def shuffle_width(spark: SparkSession) -> int:
     """The session's shuffle partition count; iterated state frames
     coalesce to it so unions do not grow their partition count."""
     return int(spark.conf.get("spark.sql.shuffle.partitions"))
+
+
+def local_rows(spark: SparkSession, rows: list[tuple], schema: str) -> DataFrame:
+    """A small driver-side table as a plan of JVM literals.
+
+    ``schema`` is a ``"name type, ..."`` string; an empty ``rows`` gives
+    that schema with no rows. The rows are inlined from one literal array
+    of structs, so evaluating the frame starts no Python worker (a
+    list-backed ``createDataFrame`` does). A one-row ``select(lit(...))``
+    frame is not used: joined in SSSP, it added two broadcast-exchange
+    jobs even with broadcast joins off.
+    """
+    fields = [f.split() for f in schema.split(",")]
+    structs = [
+        F.struct(*[F.lit(x).cast(t).alias(n) for x, (n, t) in zip(row, fields)])
+        for row in rows or [(None,) * len(fields)]
+    ]
+    df = spark.range(1).select(F.inline(F.array(*structs)))
+    return df if rows else df.limit(0)

@@ -5,20 +5,30 @@ includes a ``count()`` of its output when the output is a DataFrame.
 The budgets are the counts the code runs today, asserted with ``<=``:
 a change that lowers a count lowers its budget with it, and a budget is
 never raised. The counts do not depend on the number of task threads.
+
+The same calls also run with no Python worker: driver-side values enter
+their plans as JVM literals, so no task needs one.
 """
 import pytest
 
 from repro.apps import app_cost, pagerank_trace, sssp_trace, wcc_trace
 from repro.core.distributed_ne import distributed_ne
+from repro.core.incidence import eid_py
 from repro.core.metrics import partition_quality
+from repro.core.reference import parallel_ne_reference
 from repro.graphgen.rmat import rmat_edges_np
 from repro.graphgen.util import edges_to_spark
 from repro.partitioners.hashing import grid_hash
+from repro.partitioners.labelprop import xtrapulp_like
+
+
+def _pairs():
+    return rmat_edges_np(6, 4, seed=100)
 
 
 @pytest.fixture(scope="module")
 def graph(spark):
-    edges = edges_to_spark(spark, rmat_edges_np(6, 4, seed=100)).cache()
+    edges = edges_to_spark(spark, _pairs()).cache()
     edges.count()
     return edges
 
@@ -45,7 +55,7 @@ def _jobs(spark, name: str, call) -> int:
 BUDGETS = {
     # 2 rounds, then 11 edges through the fallback
     "distributed_ne": (
-        21,
+        16,
         lambda s, g: distributed_ne(s, g, 4, lam=1.0, seed=0, max_iters=2).count(),
     ),
     "sssp_trace": (11, lambda s, g: sssp_trace(s, g, source=0)[0].count()),
@@ -75,3 +85,32 @@ def test_app_cost_job_budget(spark, graph, grid, app):
     }[app]()[1]
     jobs = _jobs(spark, f"app_cost-{app}", lambda: app_cost(trace, grid, 4))
     assert jobs <= 3, f"{jobs} jobs"
+
+
+def test_no_python_worker(spark, graph, grid):
+    """Distributed NE (through the needy draw and the fallback), the
+    three apps with their pricing, the quality metrics and XtraPuLP run
+    with the Python worker executable pointed at ``/bin/false``, so any
+    task that needs a Python worker fails. The assignment still equals
+    the reference's."""
+    sc = spark.sparkContext
+    python_exec = sc.pythonExec
+    sc.pythonExec = "/bin/false"
+    try:
+        asg = distributed_ne(spark, graph, 4, lam=1.0, seed=0, max_iters=2)
+        got = {eid_py(r["src"], r["dst"]): r["part"] for r in asg.collect()}
+        for out, trace in (
+            sssp_trace(spark, graph, source=0),
+            wcc_trace(spark, graph),
+            pagerank_trace(spark, graph, n_iters=3),
+        ):
+            out.count()
+            app_cost(trace, grid, 4)
+        partition_quality(grid)
+        xtrapulp_like(spark, graph, 4, seed=0).count()
+    finally:
+        sc.pythonExec = python_exec
+    want, _ = parallel_ne_reference(
+        [tuple(r) for r in _pairs()], 4, lam=1.0, seed=0, max_iters=2
+    )
+    assert got == want
