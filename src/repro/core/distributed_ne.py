@@ -38,6 +38,15 @@ needy parts' drawn vertices) and hands it to the next plan as JVM
 literals: the sizes as one array column (``_winners``), the drawn pairs
 and the empty starting state through ``repro.session.local_rows``. A
 round therefore starts no Python worker and no broadcast job.
+
+The whole call is planned without whole-stage codegen
+(``repro.session.no_wholestage_codegen``). Each round's fused stages
+differ in their literals and plan shapes, so a call generated ~200
+whole-stage classes, twice what Spark's codegen cache holds, and
+recompiled all of them on every call. Interpreted operators share ~95
+small generated projections and orderings, all but ~20 of which stay
+cached between rounds and calls; the lazily checkpointed assignment is
+planned inside the call too.
 """
 import math
 from dataclasses import dataclass
@@ -47,7 +56,7 @@ from pyspark.sql import functions as F
 
 from repro.core.hashutil import mix_col
 from repro.core.incidence import incidence, with_eid
-from repro.session import local_rows, shuffle_width
+from repro.session import local_rows, no_wholestage_codegen, shuffle_width
 
 
 @dataclass
@@ -76,8 +85,34 @@ def distributed_ne(
     """
     if n_parts < 1:
         raise ValueError("n_parts must be >= 1")
-    edges_e = with_eid(edges).select("eid", "src", "dst").cache()
-    inc = incidence(edges_e).cache()
+    with no_wholestage_codegen(spark):
+        edges_e = with_eid(edges).select("eid", "src", "dst").cache()
+        inc = incidence(edges_e).cache()
+        try:
+            assignment, stats = _expand(
+                spark, edges_e, inc, n_parts, alpha, lam, seed, max_iters
+            )
+        finally:
+            edges_e.unpersist(blocking=False)
+            inc.unpersist(blocking=False)
+    if return_stats:
+        return assignment, stats
+    return assignment
+
+
+def _expand(
+    spark: SparkSession,
+    edges_e: DataFrame,
+    inc: DataFrame,
+    n_parts: int,
+    alpha: float,
+    lam: float,
+    seed: int,
+    max_iters: int,
+) -> tuple[DataFrame, NEStats]:
+    """The rounds, the fallback and the final join over the cached
+    (eid, src, dst) edges and their incidence; returns the assignment,
+    lazily checkpointed (so already planned), and the stats."""
     m = edges_e.count()
     if m == 0:
         raise ValueError("empty edge DataFrame")
@@ -212,11 +247,7 @@ def distributed_ne(
     assignment = (
         alloc.join(edges_e, "eid").select("src", "dst", "part").localCheckpoint()
     )
-    edges_e.unpersist(blocking=False)
-    inc.unpersist(blocking=False)
-    if return_stats:
-        return assignment, stats
-    return assignment
+    return assignment, stats
 
 
 def _winners(cands: DataFrame, sizes: list[int], cap: int) -> DataFrame:

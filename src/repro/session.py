@@ -10,8 +10,11 @@ parallelism (the number of task threads): at this repo's graph sizes a
 wider shuffle only adds per-task overhead. Iterated state frames
 coalesce to the same width through ``shuffle_width``. Small
 driver-side tables enter a plan through ``local_rows``, as JVM literals.
+``no_wholestage_codegen`` plans a block's queries with interpreted
+operators, whose few small generated classes stay in the codegen cache.
 """
 import os
+from contextlib import contextmanager
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -57,6 +60,29 @@ def shuffle_width(spark: SparkSession) -> int:
     """The session's shuffle partition count; iterated state frames
     coalesce to it so unions do not grow their partition count."""
     return int(spark.conf.get("spark.sql.shuffle.partitions"))
+
+
+@contextmanager
+def no_wholestage_codegen(spark: SparkSession):
+    """Plan the block's queries without whole-stage codegen.
+
+    A fused stage is one generated class per plan shape, and Spark's
+    codegen cache holds only 100 of them
+    (``spark.sql.codegen.cache.maxEntries``, a static conf), so a call
+    that plans ~200 distinct stages recompiles every one of them each
+    time. Interpreted operators share the per-expression projections and
+    orderings, which fit the cache. A query is physically planned at its
+    first action (or at a lazy ``localCheckpoint``), so every such step
+    must run inside the block. The caller's own value is restored on
+    exit, on error too.
+    """
+    key = "spark.sql.codegen.wholeStage"
+    before = spark.conf.get(key)
+    spark.conf.set(key, "false")
+    try:
+        yield
+    finally:
+        spark.conf.set(key, before)
 
 
 def local_rows(spark: SparkSession, rows: list[tuple], schema: str) -> DataFrame:

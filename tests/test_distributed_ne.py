@@ -3,11 +3,12 @@ Theorem 1, capacity, quality, multi-expansion behaviour."""
 import math
 
 import pytest
+from pyspark import StorageLevel
 from pyspark.sql import functions as F
 
 from repro.core.bounds import theorem1_ub
 from repro.core.distributed_ne import distributed_ne
-from repro.core.incidence import eid_py
+from repro.core.incidence import eid_py, incidence, with_eid
 from repro.core.metrics import (
     assert_valid_assignment,
     partition_quality,
@@ -152,9 +153,16 @@ def test_dne_single_partition(spark, tiny_rmat):
 
 
 def test_dne_rejects_empty(spark):
+    """The error is raised after the call has cached its (eid, src, dst)
+    edges and their incidence; both are released."""
     empty = spark.createDataFrame([], "src long, dst long")
+    persisted = spark.sparkContext._jsc.getPersistentRDDs().size()
     with pytest.raises(ValueError):
         distributed_ne(spark, empty, 4)
+    assert spark.sparkContext._jsc.getPersistentRDDs().size() == persisted
+    edges_e = with_eid(empty).select("eid", "src", "dst")
+    for df in (edges_e, incidence(edges_e)):
+        assert df.storageLevel == StorageLevel.NONE
 
 
 def test_dne_rejects_bad_parts(spark, tiny_rmat):

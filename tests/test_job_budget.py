@@ -8,6 +8,12 @@ never raised. The counts do not depend on the number of task threads.
 
 The same calls also run with no Python worker: driver-side values enter
 their plans as JVM literals, so no task needs one.
+
+A warm Distributed NE call also has a codegen budget: the classes Spark
+compiles for it. The call is planned without whole-stage codegen, so its
+generated classes fit Spark's 100-entry codegen cache and a repeated call
+compiles few; with a whole-stage class per stage it recompiled ~200 on
+every call. The scope restores the caller's ``wholeStage`` value.
 """
 import pytest
 
@@ -69,6 +75,47 @@ def test_job_budget(spark, graph, name):
     budget, call = BUDGETS[name]
     jobs = _jobs(spark, name, lambda: call(spark, graph))
     assert jobs <= budget, f"{name}: {jobs} jobs, budget {budget}"
+
+
+WHOLESTAGE = "spark.sql.codegen.wholeStage"
+
+
+def _compiles(spark) -> int:
+    """Classes Spark's code generator has compiled in this JVM so far."""
+    metrics = spark._jvm.org.apache.spark.metrics.source.CodegenMetrics
+    return metrics.METRIC_COMPILATION_TIME().getCount()
+
+
+def test_codegen_budget(spark, graph):
+    """The second of two back-to-back calls compiles at most 50 classes
+    (about 20; about 200, 210 once, with whole-stage codegen). The count
+    varies a little by JVM: the cache key hashes the class loader's
+    identity."""
+    _, call = BUDGETS["distributed_ne"]
+    caller = spark.conf.get(WHOLESTAGE)
+    call(spark, graph)
+    before = _compiles(spark)
+    call(spark, graph)
+    compiled = _compiles(spark) - before
+    assert compiled <= 50, f"{compiled} classes compiled"
+    assert spark.conf.get(WHOLESTAGE) == caller
+
+
+def test_codegen_scope_restores_caller_value(spark, graph):
+    """A caller's ``false`` survives the call, and the session value
+    survives a call that raises inside the scope (empty input)."""
+    _, call = BUDGETS["distributed_ne"]
+    caller = spark.conf.get(WHOLESTAGE)
+    spark.conf.set(WHOLESTAGE, "false")
+    try:
+        call(spark, graph)
+        assert spark.conf.get(WHOLESTAGE) == "false"
+    finally:
+        spark.conf.set(WHOLESTAGE, caller)
+    empty = spark.createDataFrame([], "src long, dst long")
+    with pytest.raises(ValueError, match="empty"):
+        distributed_ne(spark, empty, 4)
+    assert spark.conf.get(WHOLESTAGE) == caller
 
 
 def test_partition_quality_job_budget(spark, grid):
